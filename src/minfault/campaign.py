@@ -84,7 +84,11 @@ class CampaignResult:
 
 
 def is_subsumed(candidate, valid) -> bool:
-    """True iff some already-valid fault is a subset of the candidate."""
+    """True iff some already-valid fault is a subset of the candidate.
+
+    The campaign never needs this check (its candidates are minimal, see
+    ``_drive``); it stays as an independent oracle for checking campaigns.
+    """
     cand = frozenset(candidate)
     return any(frozenset(v) <= cand for v in valid)
 
@@ -120,8 +124,7 @@ def _drive(
     phi = make_cnf([bootstrap.observed_path], system.n_vars)
 
     k = k_start
-    valid: list[frozenset[int]] = []
-    valid_order: list[tuple[int, ...]] = []
+    valid: list[tuple[int, ...]] = []
     history = InjectionHistory()
     log: list[InjectionRecord] = []
     injections = 0
@@ -131,10 +134,11 @@ def _drive(
         nonlocal solver_calls, solve_s
         t0 = time.perf_counter()
         sols = enumerate_minimal(phi, SolverConfig(max_size=k))
+        # popped from the end, so reverse to consume in lexicographic order
+        pool = [frozenset(s) for s in reversed(sols)]
         solve_s += time.perf_counter() - t0
         solver_calls += 1
-        # popped from the end, so reverse to consume in lexicographic order
-        return [frozenset(s) for s in reversed(sols)]
+        return pool
 
     stack = fresh_stack()
     while True:
@@ -142,7 +146,9 @@ def _drive(
         round_m = phi.m
         while stack:
             cand = stack.pop()
-            if is_subsumed(cand, valid) or cand in history:
+            # a valid fault hits every real path, so it satisfies every
+            # later formula: a minimal candidate containing it equals it
+            if cand in history:
                 continue
             t0 = time.perf_counter()
             outcome = execute(system, request_id, cand)
@@ -151,8 +157,7 @@ def _drive(
             log.append(InjectionRecord(tuple(sorted(cand)), outcome.failed, phi.m))
             history.record(cand, outcome.failed)
             if outcome.failed:
-                valid.append(cand)
-                valid_order.append(tuple(sorted(cand)))
+                valid.append(tuple(sorted(cand)))
             else:
                 phi = conjoin(phi, outcome.observed_path)
                 if dynamic:
@@ -179,7 +184,7 @@ def _drive(
     return CampaignResult(
         request_id=request_id,
         k_max=k_max,
-        valid_faults=tuple(valid_order),
+        valid_faults=tuple(valid),
         injections=injections,
         solver_calls=solver_calls,
         final_cnf=phi,

@@ -1,15 +1,20 @@
 """Enumeration of all subset-minimal satisfying assignments of a monotone CNF.
 
-Two independent routes exist on purpose: ``enumerate_minimal`` is a
-bitmask depth-first search meant for real workloads, and
-``brute_force_minimal`` is a small-universe exhaustive oracle used to
-verify it.  They share no search machinery.
+A monotone CNF is a hypergraph, and its minimal satisfying assignments
+are that hypergraph's minimal hitting sets.  Two independent routes
+exist on purpose: ``enumerate_minimal`` is a bitmask depth-first search
+meant for real workloads, and ``brute_force_minimal`` is a small-universe
+exhaustive oracle used to verify it.  They share no search machinery.
+
+The search keeps minimality as an invariant with critical-clause
+("crit") sets, after Murakami & Uno's MMCS (Discrete Applied Math. 170,
+2014): every chosen variable must cover some clause no other chosen
+variable covers, so every leaf is minimal and no leaf filter is needed.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .cnf import MonotoneCnf, is_satisfied
@@ -17,27 +22,12 @@ from .errors import FormulaTooLargeError, ParameterError
 
 FaultSet = tuple  # tuple[VarId, ...] in ascending order
 
-# Per-mask dominance lists are capped: entries beyond the cap are not
-# stored (pruning gets weaker, never wrong).
-_TABLE_CAP = 32
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search bound and reproducibility knobs.
-
-    ``max_size`` bounds the cardinality of returned assignments.  With
-    ``deterministic`` unset, candidate iteration order is shuffled from
-    ``order_seed``; the returned *set* is unaffected either way because
-    output is canonically sorted.  ``use_pruning_table`` toggles the
-    mask-dominance table (a pure accelerator, kept switchable so tests
-    can show it does not change results).
-    """
+    """``max_size`` bounds the cardinality of returned assignments."""
 
     max_size: int
-    deterministic: bool = True
-    use_pruning_table: bool = True
-    order_seed: int | None = None
 
     def __post_init__(self):
         if self.max_size < 0:
@@ -46,35 +36,41 @@ class SolverConfig:
 
 @dataclass
 class SolverCounters:
-    """Optional profiling counters; not part of the correctness contract."""
+    """Optional profiling counters; not part of the correctness contract.
+
+    Every leaf is a distinct minimal solution, so ``leaf_hits`` equals the
+    solution count and ``duplicate_leaves`` and ``nonminimal_leaves`` are
+    always 0; they are kept so readers of the counters need not change.
+    """
 
     expansions: int = 0
     pushes: int = 0
     leaf_hits: int = 0
     duplicate_leaves: int = 0
     nonminimal_leaves: int = 0
-    distinct_masks: int = 0
 
 
-def _clause_index(cnf: MonotoneCnf) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
-    """Per-variable coverage masks and per-clause candidate lists."""
+def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
+    """Per clause, ``(coverage mask, variable)`` for each of its variables."""
     cover: dict[int, int] = {}
     for i, c in enumerate(cnf.clauses):
         bit = 1 << i
         for v in c:
             cover[v] = cover.get(v, 0) | bit
-    cands = [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
-    return cover, cands
+    return [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
 
 
 def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
     """All subset-minimal satisfying assignments with at most ``max_size`` variables.
 
     Explicit-stack DFS over uncovered-clause bitmasks (plain ints, so any
-    clause count works).  Each expansion branches on the lowest-index
-    uncovered clause; leaves pass a duplicate check and then a drop-one
-    minimality check.  Output is deduplicated, each assignment ascending,
-    the list sorted lexicographically.  The empty formula yields ``[()]``.
+    clause count works); each expansion branches on the lowest-index
+    uncovered clause.  A child is pushed only if every chosen variable
+    still has a crit clause, one no other chosen variable covers, so each
+    leaf is minimal.  Sibling ``j`` never picks the clause's variables
+    tried before it, so each minimal set is reached exactly once.  Each
+    assignment is ascending, the list sorted lexicographically.  The
+    empty formula yields ``[()]``.
     """
     sols, _ = enumerate_minimal_with_counters(cnf, config)
     return sols
@@ -92,71 +88,39 @@ def enumerate_minimal_with_counters(
     if maxd == 0:
         return [], counters
 
-    cover, cands = _clause_index(cnf)
-    if not config.deterministic:
-        rng = random.Random(config.order_seed)
-        for lst in cands:
-            rng.shuffle(lst)
-
-    full = (1 << m) - 1
-    use_table = config.use_pruning_table
-    # mask -> pick sets that reached it; a revisit by a superset can only
-    # lead to leaves with a redundant variable, so it is pruned
-    seen: dict[int, list[frozenset[int]]] = {}
-    solutions: set[frozenset[int]] = set()
-    stack: list[tuple[int, frozenset[int]]] = [(full, frozenset())]
-
+    cands = _clause_candidates(cnf)
+    solutions: list[FaultSet] = []
+    # (uncovered clauses, banned variables as a bitmask, chosen variables,
+    #  crit mask of each chosen variable)
+    stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << m) - 1, 0, (), ())]
     while stack:
-        u, chosen = stack.pop()
+        u, banned, chosen, crit = stack.pop()
         if u == 0:
             counters.leaf_hits += 1
-            if chosen in solutions:
-                counters.duplicate_leaves += 1
-                continue
-            redundant = False
-            for v in chosen:
-                rest = 0
-                for w in chosen:
-                    if w != v:
-                        rest |= cover[w]
-                if rest == full:
-                    redundant = True
-                    break
-            if redundant:
-                counters.nonminimal_leaves += 1
-            else:
-                solutions.add(chosen)
+            solutions.append(chosen)
             continue
-        d = len(chosen)
-        if d >= maxd:
-            continue
-        if use_table:
-            lst = seen.get(u)
-            if lst is None:
-                seen[u] = [chosen]
-            else:
-                dominated = False
-                for s in lst:
-                    if s <= chosen:
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-                if len(lst) < _TABLE_CAP:
-                    lst.append(chosen)
+        # a child at depth max_size is pushed only if it covers everything
         counters.expansions += 1
         i = (u & -u).bit_length() - 1
-        last_level = d + 1 == maxd
+        last_level = len(chosen) + 1 == maxd
+        tried = banned
         for cmask, v in cands[i]:
-            if v in chosen:
+            vbit = 1 << v
+            if banned & vbit:
                 continue
-            nu = u & ~cmask
+            child_banned = tried
+            tried |= vbit
+            rest = ~cmask
+            nu = u & rest
             if nu and last_level:
                 continue
-            stack.append((nu, chosen | {v}))
+            child_crit = [c & rest for c in crit]
+            if not all(child_crit):
+                continue  # v covers every crit clause of some chosen variable
+            child_crit.append(u & cmask)
+            stack.append((nu, child_banned, chosen + (v,), tuple(child_crit)))
             counters.pushes += 1
 
-    counters.distinct_masks = len(seen)
     return sorted(tuple(sorted(s)) for s in solutions), counters
 
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import monotone_cnfs
+from minfault.campaign import CampaignConfig, run_campaign
 from minfault.cnf import is_satisfied, make_cnf
 from minfault.errors import FormulaTooLargeError, ParameterError
+from minfault.simulation import GenParams, generate_system
 from minfault.solver import (
     SolverConfig,
     brute_force_minimal,
@@ -80,6 +82,31 @@ class TestEnumerateMinimal:
         out = enumerate_minimal(cnf, SolverConfig(max_size=n))
         assert out == [tuple(range(n))]
 
+    def test_deep_search_needs_no_recursion(self):
+        # one solution 1,500 variables deep: far past Python's recursion limit
+        n = 1500
+        cnf = make_cnf([{i} for i in range(n)], n)
+        assert enumerate_minimal(cnf, SolverConfig(max_size=n)) == [tuple(range(n))]
+
+    def test_campaign_fault_union_cover(self):
+        # the hardening cover formula of two shared-API requests: 2,718
+        # clauses with few minimal covers but many non-minimal branches,
+        # which a leaf-filtering search explores without finishing
+        system = generate_system(
+            GenParams(group_num=2, edge_num=40, bone_num=3, n_requests=8,
+                      shared_api_fraction=0.3, seed=1)
+        )
+        faults = [
+            set(f)
+            for r in (0, 3)
+            for f in run_campaign(system, CampaignConfig(request_id=r, k_max=3)).valid_faults
+        ]
+        cnf = make_cnf(faults, system.n_vars)
+        assert cnf.m == 2718
+        out = enumerate_minimal(cnf, SolverConfig(max_size=32))
+        assert len(out) == 9
+        assert all(is_minimal(s, cnf) for s in out)
+
 
 class TestIsMinimal:
     def test_solution_is_minimal(self):
@@ -135,7 +162,10 @@ class TestSolverProperties:
     @given(monotone_cnfs(max_vars=9, max_clauses=6), st.integers(min_value=0, max_value=9))
     @settings(max_examples=120)
     def test_sound_minimal_antichain(self, cnf, k):
-        out = enumerate_minimal(cnf, SolverConfig(max_size=k))
+        out, counters = enumerate_minimal_with_counters(cnf, SolverConfig(max_size=k))
+        # minimal and unique by construction: every leaf is a solution
+        assert counters.leaf_hits == len(out)
+        assert counters.duplicate_leaves == counters.nonminimal_leaves == 0
         sets = [frozenset(s) for s in out]
         for s in sets:
             assert len(s) <= k
@@ -152,26 +182,6 @@ class TestSolverProperties:
         small = set(enumerate_minimal(cnf, SolverConfig(max_size=k)))
         large = set(enumerate_minimal(cnf, SolverConfig(max_size=k + 1)))
         assert small <= large
-
-    @given(monotone_cnfs(max_vars=9, max_clauses=6), st.integers(min_value=0, max_value=9))
-    @settings(max_examples=120)
-    def test_pruning_table_does_not_change_results(self, cnf, k):
-        with_table = enumerate_minimal(cnf, SolverConfig(max_size=k, use_pruning_table=True))
-        without = enumerate_minimal(cnf, SolverConfig(max_size=k, use_pruning_table=False))
-        assert with_table == without
-
-    @given(
-        monotone_cnfs(max_vars=9, max_clauses=6),
-        st.integers(min_value=0, max_value=9),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=100)
-    def test_traversal_order_does_not_change_results(self, cnf, k, seed):
-        fixed = enumerate_minimal(cnf, SolverConfig(max_size=k))
-        shuffled = enumerate_minimal(
-            cnf, SolverConfig(max_size=k, deterministic=False, order_seed=seed)
-        )
-        assert fixed == shuffled
 
     def test_deterministic_repeat_runs(self):
         rng = random.Random(7)
