@@ -54,6 +54,7 @@ from .solver import (
     enumerate_minimal,
     enumerate_minimal_with_counters,
     is_minimal,
+    iter_minimal,
 )
 
 __all__ = [
@@ -84,6 +85,7 @@ __all__ = [
     "is_minimal",
     "is_satisfied",
     "is_subsumed",
+    "iter_minimal",
     "load_system",
     "make_cnf",
     "optimize",

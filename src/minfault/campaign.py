@@ -1,11 +1,12 @@
 """Feedback-driven discovery of all minimal combinatorial faults.
 
-The loop starts from the no-fault execution path, solves the current
-formula for minimal candidates at bound k, injects them one by one, and
-reacts to the outcome: a failure records a valid fault, a survival
-reveals a fresh alternative path that is conjoined into the formula
-(discarding the now-stale candidate stack).  Only when a bound is
-exhausted does k grow, up to ``k_max``.
+The loop starts from the no-fault execution path and pulls minimal
+candidates at bound k, one at a time, from a lazy search over the
+current formula (:func:`minfault.solver.iter_minimal`).  It injects each
+and reacts to the outcome: a failure records a valid fault, a survival
+reveals a fresh alternative path that is conjoined into the formula, and
+the search over the old formula is dropped unfinished for one over the
+new.  Only when a search is exhausted does k grow, up to ``k_max``.
 
 The campaign talks to the system exclusively through
 :func:`minfault.simulation.execute`; it never reads paths directly.
@@ -14,12 +15,14 @@ The campaign talks to the system exclusively through
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .cnf import MonotoneCnf, conjoin, make_cnf
 from .errors import MinfaultError, ParameterError
 from .simulation import SimulatedSystem, execute
-from .solver import SolverConfig, enumerate_minimal
+# enumerate_minimal is not called here; perfbench/tracing.py patches it by name
+from .solver import SolverConfig, enumerate_minimal, iter_minimal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -130,22 +133,24 @@ def _drive(
     injections = 0
     solver_calls = 0
 
-    def fresh_stack() -> list[frozenset[int]]:
-        nonlocal solver_calls, solve_s
-        t0 = time.perf_counter()
-        sols = enumerate_minimal(phi, SolverConfig(max_size=k))
-        # popped from the end, so reverse to consume in lexicographic order
-        pool = [frozenset(s) for s in reversed(sols)]
-        solve_s += time.perf_counter() - t0
+    def fresh_pool() -> Iterator[tuple[int, ...]]:
+        # ``phi`` is immutable: the pool keeps solving the formula it was
+        # opened on, however ``phi`` grows meanwhile
+        nonlocal solver_calls
         solver_calls += 1
-        return pool
+        return iter_minimal(phi, SolverConfig(max_size=k))
 
-    stack = fresh_stack()
+    pool = fresh_pool()
     while True:
         round_injections = injections
         round_m = phi.m
-        while stack:
-            cand = stack.pop()
+        while True:
+            # the search runs inside next(), so its time is solving time
+            t0 = time.perf_counter()
+            cand = next(pool, None)
+            solve_s += time.perf_counter() - t0
+            if cand is None:
+                break
             # a valid fault hits every real path, so it satisfies every
             # later formula: a minimal candidate containing it equals it
             if cand in history:
@@ -154,25 +159,25 @@ def _drive(
             outcome = execute(system, request_id, cand)
             inject_s += time.perf_counter() - t0
             injections += 1
-            log.append(InjectionRecord(tuple(sorted(cand)), outcome.failed, phi.m))
+            log.append(InjectionRecord(cand, outcome.failed, phi.m))
             history.record(cand, outcome.failed)
             if outcome.failed:
-                valid.append(tuple(sorted(cand)))
+                valid.append(cand)
             else:
                 phi = conjoin(phi, outcome.observed_path)
                 if dynamic:
-                    # old candidates may no longer satisfy the grown
-                    # formula; start over from the fresh solution set
-                    stack = fresh_stack()
+                    # the rest of the pool may no longer satisfy the grown
+                    # formula; pull from a search over the new one instead
+                    pool = fresh_pool()
         if dynamic:
             if k >= k_max:
                 break
             k += 1
-            stack = fresh_stack()
+            pool = fresh_pool()
         else:
             if injections == round_injections and phi.m == round_m:
                 break  # fixpoint: the last pool added nothing new
-            stack = fresh_stack()
+            pool = fresh_pool()
 
     total_s = time.perf_counter() - t_start
     timings = PhaseTimings(

@@ -321,13 +321,13 @@ def cmd_harden(args) -> int:
             doc = json.loads(raw)
             rid = doc["request_id"]
             faults = [tuple(entry["vars"]) for entry in doc["valid_faults"]]
+            # run identity hashes the fault set, not the bytes: neither
+            # timing fields nor discovery order may perturb it
+            semantic = repr((rid, sorted(faults))).encode()
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
         faults_by_request[rid] = faults
-        # run identity hashes the faults, not the bytes: timing fields
-        # inside result files must not perturb reproducible outputs
-        semantic = _dump_json({"request_id": rid, "faults": [list(t) for t in faults]})
-        manifest.add_input(f, raw, identity=semantic.encode())
+        manifest.add_input(f, raw, identity=semantic)
 
     high = _parse_high(args.high, system)
     for rid in high:

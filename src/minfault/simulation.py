@@ -13,7 +13,7 @@ import json
 import random
 from bisect import bisect_right
 from collections.abc import Iterable, Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParameterError, SchemaError, UnknownRequestError, VariableRangeError
@@ -84,12 +84,20 @@ class SimulatedSystem:
     n_vars: int
     symbol_table: tuple[tuple[str, str, int], ...]
     request_frequency: tuple[tuple[int, int], ...]
+    # derived index for ``request``; not part of the value
+    _by_id: dict[int, RequestSpec] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_id: dict[int, RequestSpec] = {}
+        for req in self.requests:
+            by_id.setdefault(req.request_id, req)
+        object.__setattr__(self, "_by_id", by_id)
 
     def request(self, request_id: int) -> RequestSpec:
-        for req in self.requests:
-            if req.request_id == request_id:
-                return req
-        raise UnknownRequestError(f"no request with id {request_id}")
+        try:
+            return self._by_id[request_id]
+        except KeyError:
+            raise UnknownRequestError(f"no request with id {request_id}") from None
 
     def frequency(self, request_id: int) -> int:
         for rid, weight in self.request_frequency:

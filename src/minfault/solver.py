@@ -2,19 +2,24 @@
 
 A monotone CNF is a hypergraph, and its minimal satisfying assignments
 are that hypergraph's minimal hitting sets.  Two independent routes
-exist on purpose: ``enumerate_minimal`` is a bitmask depth-first search
-meant for real workloads, and ``brute_force_minimal`` is a small-universe
-exhaustive oracle used to verify it.  They share no search machinery.
+exist on purpose: ``iter_minimal`` is a lazy bitmask depth-first search
+meant for real workloads (``enumerate_minimal`` is its output, sorted),
+and ``brute_force_minimal`` is a small-universe exhaustive oracle used to
+verify it.  They share no search machinery.
 
 The search keeps minimality as an invariant with critical-clause
 ("crit") sets, after Murakami & Uno's MMCS (Discrete Applied Math. 170,
 2014): every chosen variable must cover some clause no other chosen
 variable covers, so every leaf is minimal and no leaf filter is needed.
+It prunes with the disjoint-clause lower bound (Gainer-Dewar &
+Vera-Licona, SIAM J. Discrete Math. 31, 2017): a set of pairwise-disjoint
+uncovered clauses needs as many more variables.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cnf import MonotoneCnf, is_satisfied
@@ -60,36 +65,45 @@ def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
     return [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
 
 
-def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
-    """All subset-minimal satisfying assignments with at most ``max_size`` variables.
+def iter_minimal(
+    cnf: MonotoneCnf, config: SolverConfig, counters: SolverCounters | None = None
+) -> Iterator[FaultSet]:
+    """Yield each subset-minimal satisfying assignment of at most ``max_size`` variables once.
 
     Explicit-stack DFS over uncovered-clause bitmasks (plain ints, so any
     clause count works); each expansion branches on the lowest-index
-    uncovered clause.  A child is pushed only if every chosen variable
-    still has a crit clause, one no other chosen variable covers, so each
-    leaf is minimal.  Sibling ``j`` never picks the clause's variables
-    tried before it, so each minimal set is reached exactly once.  Each
-    assignment is ascending, the list sorted lexicographically.  The
-    empty formula yields ``[()]``.
+    uncovered clause, lowest variable first.  A child is pushed only if
+    every chosen variable still has a crit clause, one no other chosen
+    variable covers, so each leaf is minimal.  Sibling ``j`` never picks
+    the clause's variables tried before it, so each minimal set is
+    reached exactly once.  A node with more than one variable left is
+    skipped when a greedy packing of pairwise-disjoint uncovered clauses
+    (lowest index first) needs more variables than remain: each such
+    clause needs a variable of its own.
+
+    Each assignment is an ascending tuple; they come in search order, not
+    sorted, and only as fast as they are pulled.  The empty formula
+    yields ``()``.  ``counters``, when given, is updated in place.
     """
-    sols, _ = enumerate_minimal_with_counters(cnf, config)
-    return sols
-
-
-def enumerate_minimal_with_counters(
-    cnf: MonotoneCnf, config: SolverConfig
-) -> tuple[list[FaultSet], SolverCounters]:
-    counters = SolverCounters()
+    if counters is None:
+        counters = SolverCounters()
     m = cnf.m
     if m == 0:
-        counters.leaf_hits = 1
-        return [()], counters
+        counters.leaf_hits += 1
+        yield ()
+        return
     maxd = config.max_size
     if maxd == 0:
-        return [], counters
+        return
 
     cands = _clause_candidates(cnf)
-    solutions: list[FaultSet] = []
+    # clauses sharing no variable with clause i, as a mask
+    apart = []
+    for cs in cands:
+        clash = 0
+        for cmask, _ in cs:
+            clash |= cmask
+        apart.append(~clash)
     # (uncovered clauses, banned variables as a bitmask, chosen variables,
     #  crit mask of each chosen variable)
     stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << m) - 1, 0, (), ())]
@@ -97,13 +111,23 @@ def enumerate_minimal_with_counters(
         u, banned, chosen, crit = stack.pop()
         if u == 0:
             counters.leaf_hits += 1
-            solutions.append(chosen)
+            yield tuple(sorted(chosen))
             continue
+        left = maxd - len(chosen)
+        if left > 1:
+            need = 0
+            rest = u
+            while rest and need <= left:
+                need += 1
+                rest &= apart[(rest & -rest).bit_length() - 1]
+            if need > left:
+                continue
         # a child at depth max_size is pushed only if it covers everything
         counters.expansions += 1
         i = (u & -u).bit_length() - 1
-        last_level = len(chosen) + 1 == maxd
+        last_level = left == 1
         tried = banned
+        children = []
         for cmask, v in cands[i]:
             vbit = 1 << v
             if banned & vbit:
@@ -118,10 +142,28 @@ def enumerate_minimal_with_counters(
             if not all(child_crit):
                 continue  # v covers every crit clause of some chosen variable
             child_crit.append(u & cmask)
-            stack.append((nu, child_banned, chosen + (v,), tuple(child_crit)))
-            counters.pushes += 1
+            children.append((nu, child_banned, chosen + (v,), tuple(child_crit)))
+        # pushed in reverse so the lowest variable is popped first
+        stack.extend(reversed(children))
+        counters.pushes += len(children)
 
-    return sorted(tuple(sorted(s)) for s in solutions), counters
+
+def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
+    """All subset-minimal satisfying assignments with at most ``max_size`` variables.
+
+    The whole of :func:`iter_minimal`, sorted: each assignment ascending,
+    the list lexicographic, whatever the search order.  The empty formula
+    yields ``[()]``.
+    """
+    return sorted(iter_minimal(cnf, config))
+
+
+def enumerate_minimal_with_counters(
+    cnf: MonotoneCnf, config: SolverConfig
+) -> tuple[list[FaultSet], SolverCounters]:
+    """:func:`enumerate_minimal` plus the counters of its search."""
+    counters = SolverCounters()
+    return sorted(iter_minimal(cnf, config, counters)), counters
 
 
 def is_minimal(candidate, cnf: MonotoneCnf) -> bool:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import minfault.campaign
 from conftest import compact_cnf, globalize
 from minfault.campaign import (
     CampaignConfig,
@@ -252,3 +253,35 @@ class TestTimings:
         assert t.total_ms > 0
         assert t.solve_ms >= 0 and t.inject_ms >= 0 and t.bookkeeping_ms >= 0
         assert t.solve_ms + t.inject_ms <= t.total_ms + 1e-6
+
+
+class TestLazyPool:
+    def test_pulls_few_candidates(self, monkeypatch):
+        # the eight searches of this campaign hold 235,084 candidates;
+        # a survival drops the rest of its search unpulled
+        pulled = 0
+        search = minfault.campaign.iter_minimal
+
+        def counting(*args, **kwargs):
+            nonlocal pulled
+            for cand in search(*args, **kwargs):
+                pulled += 1
+                yield cand
+
+        monkeypatch.setattr(minfault.campaign, "iter_minimal", counting)
+        system = generate_system(GenParams(group_num=3, edge_num=200, bone_num=4, n_requests=1, seed=1))
+        res = run_campaign(system, CampaignConfig(request_id=0, k_max=3))
+        assert res.injections == 69
+        assert res.solver_calls == 8
+        assert len(res.valid_faults) == 64
+        assert list(res.valid_faults) == sorted(res.valid_faults)
+        assert pulled <= 500
+
+    @pytest.mark.parametrize("g,e,b", [(2, 50, 2), (3, 7, 2), (3, 20, 4), (4, 10, 3)])
+    def test_unshared_faults_ascend(self, g, e, b):
+        # with k_max at the group count, faults come out in ascending order
+        system = generate_system(GenParams(group_num=g, edge_num=e, bone_num=b, n_requests=1, seed=1))
+        dyn = run_campaign(system, CampaignConfig(request_id=0, k_max=g))
+        stat = run_campaign_static(system, 0, g)
+        assert list(dyn.valid_faults) == sorted(dyn.valid_faults)
+        assert stat.valid_faults == dyn.valid_faults

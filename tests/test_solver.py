@@ -1,5 +1,6 @@
 """DFS enumerator vs the exhaustive oracle, plus its contract edge cases."""
 
+import itertools
 import random
 
 import pytest
@@ -13,10 +14,12 @@ from minfault.errors import FormulaTooLargeError, ParameterError
 from minfault.simulation import GenParams, generate_system
 from minfault.solver import (
     SolverConfig,
+    SolverCounters,
     brute_force_minimal,
     enumerate_minimal,
     enumerate_minimal_with_counters,
     is_minimal,
+    iter_minimal,
 )
 
 A, B, C, D = 0, 1, 2, 3
@@ -201,3 +204,48 @@ class TestSolverProperties:
         _, sparse = enumerate_minimal_with_counters(disjoint, SolverConfig(max_size=m))
         _, dense = enumerate_minimal_with_counters(ring, SolverConfig(max_size=m))
         assert dense.expansions < sparse.expansions
+
+
+def request_cnf(group_num, edge_num, bone_num):
+    system = generate_system(GenParams(group_num=group_num, edge_num=edge_num,
+                                       bone_num=bone_num, n_requests=1, seed=1))
+    return make_cnf(system.request(0).paths, system.n_vars)
+
+
+class TestIterMinimal:
+    @given(monotone_cnfs(max_vars=9, max_clauses=6), st.integers(min_value=0, max_value=9))
+    @settings(max_examples=150)
+    def test_yields_each_oracle_solution_once(self, cnf, k):
+        counters = SolverCounters()
+        out = list(iter_minimal(cnf, SolverConfig(max_size=k), counters))
+        assert all(list(s) == sorted(s) for s in out)
+        assert len(set(out)) == len(out)
+        assert sorted(out) == brute_force_minimal(cnf, k)
+        assert counters.leaf_hits == len(out)
+
+    def test_lazy_on_a_huge_solution_set(self):
+        # (2,300,4) at k=4 has about 3.1e8 minimal sets; pulling the first
+        # thousand must not search for the rest
+        counters = SolverCounters()
+        pool = iter_minimal(request_cnf(2, 300, 4), SolverConfig(max_size=4), counters)
+        first = list(itertools.islice(pool, 1000))
+        assert len(first) == len(set(first)) == 1000
+        assert counters.leaf_hits == 1000
+        assert counters.expansions < 100
+
+    def test_disjoint_clause_packing_prunes(self):
+        # four disjoint group pairs: without the packing bound the search
+        # expands 64,651 nodes to find these 81 sets
+        sols, counters = enumerate_minimal_with_counters(
+            request_cnf(4, 100, 3), SolverConfig(max_size=4)
+        )
+        assert len(sols) == 81
+        assert counters.expansions < 1000
+
+    def test_packing_bound_at_exact_size(self):
+        # three disjoint clauses need three variables: nothing below k=3
+        cnf = make_cnf([{0, 1}, {2, 3}, {4, 5}, {0, 2, 4}], 6)
+        counters = SolverCounters()
+        assert list(iter_minimal(cnf, SolverConfig(max_size=2), counters)) == []
+        assert counters.expansions == 0
+        assert enumerate_minimal(cnf, SolverConfig(max_size=3)) == brute_force_minimal(cnf, 3)
