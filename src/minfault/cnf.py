@@ -95,7 +95,7 @@ def is_satisfied(cnf: MonotoneCnf, assignment: AbstractSet[int]) -> bool:
 def conjoin(cnf: MonotoneCnf, new_path: AbstractSet[int]) -> MonotoneCnf:
     """Append one path as a clause; a clause already present is a no-op."""
     c = _check_path(new_path, cnf.n_vars, what="path")
-    if c in set(cnf.clauses):
+    if c in cnf.clauses:
         return cnf
     return MonotoneCnf(clauses=cnf.clauses + (c,), n_vars=cnf.n_vars)
 

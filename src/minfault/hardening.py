@@ -9,6 +9,10 @@ remaining soft clauses.  On small instances the extension is an exact
 branch and bound evaluated for every cover, which makes the combined
 result globally optimal; above the size limits a single best cover is
 extended greedily and the plan is flagged approximate.
+
+Clauses are held as per-variable bitmasks: bit i of a variable's mask is
+set when clause instance i contains it.  Instances are numbered across
+requests, so a fault shared by two requests counts twice.
 """
 
 from __future__ import annotations
@@ -70,28 +74,42 @@ def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
     return make_cnf([frozenset(f) for f in valid_faults], n_vars)
 
 
-def _all_clauses(formulas: Sequence[tuple[int, MonotoneCnf]]) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
+def _masks(formulas: Sequence[tuple[int, MonotoneCnf]]) -> tuple[dict[int, int], int]:
+    """Index clauses as ``(var -> clause bitmask, clause count)``.
+
+    Clause instances are numbered across the formulas in order, one bit
+    each, so a clause shared by two requests counts twice.
+    """
+    masks: dict[int, int] = {}
+    n = 0
     for _, cnf in formulas:
-        out.extend(cnf.clauses)
+        for c in cnf.clauses:
+            bit = 1 << n
+            for v in c:
+                masks[v] = masks.get(v, 0) | bit
+            n += 1
+    return masks, n
+
+
+def _uncovered(index: tuple[dict[int, int], int], selected) -> int:
+    """Bitmask of the indexed clauses that ``selected`` misses."""
+    masks, n = index
+    out = (1 << n) - 1
+    for v in selected:
+        out &= ~masks.get(v, 0)
     return out
 
 
-def _coverage(selected, clauses) -> int:
-    sel = frozenset(selected)
-    return sum(1 for c in clauses if c & sel)
-
-
-def _plan(selected, hard_clauses, soft_clauses, feasible, exact) -> HardeningPlan:
+def _plan(selected, hard, soft, feasible, exact) -> HardeningPlan:
     sel = tuple(sorted(selected))
-    covered = _coverage(sel, soft_clauses)
-    total = len(soft_clauses)
+    n_soft = soft[1]
+    covered = n_soft - _uncovered(soft, sel).bit_count()
     return HardeningPlan(
         selected=sel,
-        hard_satisfied=all(c & frozenset(sel) for c in hard_clauses),
+        hard_satisfied=not _uncovered(hard, sel),
         soft_covered=covered,
-        soft_total=total,
-        cr=covered / total if total else 1.0,
+        soft_total=n_soft,
+        cr=covered / n_soft if n_soft else 1.0,
         feasible=feasible,
         exact=exact,
     )
@@ -133,42 +151,16 @@ def _max_coverage_exact(candidates, cand_masks, limit):
     return best_sel
 
 
-def _greedy_cover(selected, clauses, budget_left):
-    """Max-marginal-gain picks over still-uncovered clauses, ties by id."""
-    sel = set(selected)
-    uncovered = [c for c in clauses if not c & sel]
+def _greedy_cover(masks: dict[int, int], uncovered: int, budget_left: int) -> list[int]:
+    """Max-marginal-gain picks over the ``uncovered`` clause bits, ties by id."""
     picks = []
     while budget_left > 0 and uncovered:
-        gains: dict[int, int] = {}
-        for c in uncovered:
-            for v in c:
-                if v not in sel:
-                    gains[v] = gains.get(v, 0) + 1
-        if not gains:
-            break
-        v = min(gains, key=lambda x: (-gains[x], x))
-        if gains[v] == 0:
-            break
-        sel.add(v)
+        # clauses are non-empty, so some variable hits an uncovered bit
+        _, v = min((-(m & uncovered).bit_count(), v) for v, m in masks.items())
         picks.append(v)
+        uncovered &= ~masks[v]
         budget_left -= 1
-        uncovered = [c for c in uncovered if v not in c]
     return picks
-
-
-def _extend_exact(base: set[int], residual: int, soft_clauses) -> tuple[int, ...]:
-    uncovered = [c for c in soft_clauses if not c & base]
-    if residual <= 0 or not uncovered:
-        return tuple(sorted(base))
-    candidates = sorted({v for c in uncovered for v in c})
-    cand_index = {v: i for i, v in enumerate(candidates)}
-    # one bit per clause instance: duplicates across requests count separately
-    cand_masks = [0] * len(candidates)
-    for bit, c in enumerate(uncovered):
-        for v in c:
-            cand_masks[cand_index[v]] |= 1 << bit
-    picks = _max_coverage_exact(candidates, cand_masks, residual)
-    return tuple(sorted(base | set(picks)))
 
 
 def optimize(instance: HardeningInstance) -> HardeningPlan:
@@ -180,19 +172,18 @@ def optimize(instance: HardeningInstance) -> HardeningPlan:
     Above the size limits, the densest-coverage cover is frozen and the
     residual budget is spent greedily, flagged via ``exact=False``.
     """
-    hard_clauses = _all_clauses(instance.hard)
-    soft_clauses = _all_clauses(instance.soft)
-    hard_cnf = make_cnf(hard_clauses, instance.n_vars)
+    hard, soft = _masks(instance.hard), _masks(instance.soft)
+    soft_masks, n_soft = soft
+    hard_cnf = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
 
     covers = enumerate_minimal(hard_cnf, SolverConfig(max_size=instance.budget))
     if not covers:
         raise InfeasibleBudgetError(
             f"hard clauses unsatisfiable within budget {instance.budget}"
         )
-    soft_vars = {v for c in soft_clauses for v in c}
     exact_mode = (
-        len(soft_vars) <= _EXACT_MAX_CANDIDATES
-        and len(soft_clauses) <= _EXACT_MAX_CLAUSES
+        len(soft_masks) <= _EXACT_MAX_CANDIDATES
+        and n_soft <= _EXACT_MAX_CLAUSES
         and len(covers) <= _EXACT_MAX_COVERS
     )
 
@@ -200,23 +191,23 @@ def optimize(instance: HardeningInstance) -> HardeningPlan:
         best_sel: tuple[int, ...] | None = None
         best_cov = -1
         for cover in covers:
-            sel = _extend_exact(set(cover), instance.budget - len(cover), soft_clauses)
-            cov = _coverage(sel, soft_clauses)
+            uncovered = _uncovered(soft, cover)
+            residual = instance.budget - len(cover)
+            sel = cover
+            if residual > 0 and uncovered:
+                # one candidate per variable still hitting an uncovered clause
+                candidates = sorted(v for v, m in soft_masks.items() if m & uncovered)
+                cand_masks = [soft_masks[v] & uncovered for v in candidates]
+                sel = tuple(sorted(cover + _max_coverage_exact(candidates, cand_masks, residual)))
+            cov = n_soft - _uncovered(soft, sel).bit_count()
             if cov > best_cov or (cov == best_cov and sel < best_sel):
                 best_cov, best_sel = cov, sel
-        return _plan(best_sel, hard_clauses, soft_clauses, feasible=True, exact=True)
+        return _plan(best_sel, hard, soft, feasible=True, exact=True)
 
     # approximate path: freeze the best-covering minimal cover, extend greedily
-    best = covers[0]
-    best_cov = _coverage(best, soft_clauses)
-    for s in covers[1:]:
-        cov = _coverage(s, soft_clauses)
-        if cov > best_cov:
-            best, best_cov = s, cov
-    selected = set(best)
-    uncovered = [c for c in soft_clauses if not c & selected]
-    selected.update(_greedy_cover(selected, uncovered, instance.budget - len(selected)))
-    return _plan(selected, hard_clauses, soft_clauses, feasible=True, exact=False)
+    best = min(covers, key=lambda s: _uncovered(soft, s).bit_count())
+    picks = _greedy_cover(soft_masks, _uncovered(soft, best), instance.budget - len(best))
+    return _plan(best + tuple(picks), hard, soft, feasible=True, exact=False)
 
 
 def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
@@ -225,21 +216,16 @@ def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
     Never raises on a too-small budget; the returned plan carries
     ``feasible=False`` when the hard side could not be fully covered.
     """
-    hard_clauses = _all_clauses(instance.hard)
-    soft_clauses = _all_clauses(instance.soft)
-    selected: set[int] = set()
+    hard, soft = _masks(instance.hard), _masks(instance.soft)
 
-    budget_left = instance.budget
-    picks = _greedy_cover(selected, hard_clauses, budget_left)
-    selected.update(picks)
-    budget_left -= len(picks)
-    hard_ok = all(c & selected for c in hard_clauses)
+    picks = _greedy_cover(hard[0], _uncovered(hard, ()), instance.budget)
+    budget_left = instance.budget - len(picks)
+    hard_ok = not _uncovered(hard, picks)
 
     if hard_ok and budget_left > 0:
-        soft_picks = _greedy_cover(selected, soft_clauses, budget_left)
-        selected.update(soft_picks)
+        picks += _greedy_cover(soft[0], _uncovered(soft, picks), budget_left)
 
-    return _plan(selected, hard_clauses, soft_clauses, feasible=hard_ok, exact=False)
+    return _plan(picks, hard, soft, feasible=hard_ok, exact=False)
 
 
 def budget_sweep(

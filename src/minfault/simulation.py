@@ -228,15 +228,11 @@ def execute(
     injected: AbstractSet[int] | Iterable[int],
     *,
     immune: AbstractSet[int] = frozenset(),
-    flake_rate: float = 0.0,
-    rng: random.Random | None = None,
 ) -> ExecutionOutcome:
     """Serve the request through the first healthy path in priority order.
 
     A path is broken when it contains an injected, non-immune variable.
-    The request fails only when every path is broken.  ``flake_rate``
-    adds Bernoulli noise for robustness experiments and requires ``rng``;
-    it stays at 0 everywhere correctness matters.
+    The request fails only when every path is broken.
     """
     req = system.request(request_id)
     effective = set(injected)
@@ -244,14 +240,9 @@ def execute(
         if v < 0 or v >= system.n_vars:
             raise VariableRangeError(f"injected variable {v} out of range for universe of {system.n_vars}")
     effective -= set(immune)
-    if flake_rate > 0.0 and rng is None:
-        raise ParameterError("flake_rate > 0 requires an rng")
     for path in req.paths:
-        if path & effective:
-            continue
-        if flake_rate > 0.0 and rng.random() < flake_rate:
-            continue
-        return ExecutionOutcome(failed=False, observed_path=path)
+        if not path & effective:
+            return ExecutionOutcome(failed=False, observed_path=path)
     return ExecutionOutcome(failed=True, observed_path=None)
 
 

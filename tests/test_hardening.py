@@ -45,6 +45,60 @@ def exhaustive_best(hard_clauses, soft_clauses, n_vars, budget):
     return best_cov  # None when no hard cover fits the budget
 
 
+def clause_lists(inst):
+    """Hard and soft clause lists; a clause in two requests appears twice."""
+    return (
+        [c for _, cnf in inst.hard for c in cnf.clauses],
+        [c for _, cnf in inst.soft for c in cnf.clauses],
+    )
+
+
+def shared_instance(rng, n_vars, hard_vars, n_hard, n_soft, budget):
+    """Random instance whose soft requests each take two clauses of a shared pool."""
+    mk = lambda hi: frozenset(rng.sample(range(hi), rng.randint(1, min(3, hi))))
+    pool = [mk(n_vars) for _ in range(4)]
+    hard = [[mk(hard_vars) for _ in range(rng.randint(1, 3))] for _ in range(n_hard)]
+    soft = [
+        rng.sample(pool, 2) + [mk(n_vars) for _ in range(rng.randint(3, 12))]
+        for _ in range(n_soft)
+    ]
+    return instance(hard, soft, budget, n_vars)
+
+
+def reference_greedy(clauses, selected, budget):
+    """Plain max-gain greedy over set clauses, ties to the smallest id."""
+    sel = set(selected)
+    picks = []
+    while len(picks) < budget:
+        gains = {}
+        for c in clauses:
+            if not c & sel:
+                for v in c:
+                    gains[v] = gains.get(v, 0) + 1
+        if not gains:
+            break
+        v = min(gains, key=lambda x: (-gains[x], x))
+        sel.add(v)
+        picks.append(v)
+    return picks
+
+
+def reference_covers(hard_clauses, budget):
+    """Minimal hard covers within budget, in lexicographic order."""
+    covers = lambda s: all(c & s for c in hard_clauses)
+    universe = sorted(set().union(*hard_clauses))
+    return sorted(
+        combo
+        for size in range(min(budget, len(universe)) + 1)
+        for combo in itertools.combinations(universe, size)
+        if covers(set(combo)) and not any(covers(set(combo) - {v}) for v in combo)
+    )
+
+
+def soft_count(soft_clauses, selected):
+    return sum(1 for c in soft_clauses if c & set(selected))
+
+
 class TestBuildRequestCnf:
     def test_one_clause_per_fault(self):
         cnf = build_request_cnf([{A, B}, {C}], 4)
@@ -102,6 +156,28 @@ class TestOptimize:
         plan = optimize(inst)
         assert len(plan.selected) <= 2
 
+    def test_approximate_path_matches_set_reference(self):
+        # the first minimal hard cover with the most soft coverage, extended
+        # by max-gain greedy; duplicated soft clauses count once per request
+        rng = random.Random(0xA99)
+        for trial in range(20):
+            inst = shared_instance(rng, n_vars=40, hard_vars=8, n_hard=2, n_soft=4,
+                                   budget=rng.randint(3, 10))
+            hard_clauses, soft_clauses = clause_lists(inst)
+            assert len(set().union(*soft_clauses)) > 24
+            assert len(set(soft_clauses)) < len(soft_clauses)
+            covers = reference_covers(hard_clauses, inst.budget)
+            if not covers:
+                continue
+            best = max(covers, key=lambda s: soft_count(soft_clauses, s))
+            want = tuple(sorted(best + tuple(
+                reference_greedy(soft_clauses, best, inst.budget - len(best))
+            )))
+            plan = optimize(inst)
+            assert plan.exact is False, f"trial {trial}"
+            assert plan.selected == want, f"trial {trial}"
+            assert plan.soft_covered == soft_count(soft_clauses, want), f"trial {trial}"
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ParameterError):
             instance(hard=[], soft=[], budget=-1, n_vars=2)
@@ -129,6 +205,28 @@ class TestGreedyBaseline:
         plan = greedy_baseline(inst)
         assert A in plan.selected
         assert plan.soft_covered == 2
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_set_reference(self, seed):
+        rng = random.Random(seed)
+        infeasible = 0
+        for trial in range(40):
+            n = rng.randint(4, 30)
+            inst = shared_instance(rng, n_vars=n, hard_vars=min(n, 10), n_hard=rng.randint(0, 3),
+                                   n_soft=rng.randint(2, 4), budget=rng.randint(0, 8))
+            hard_clauses, soft_clauses = clause_lists(inst)
+            picks = reference_greedy(hard_clauses, (), inst.budget)
+            feasible = all(c & set(picks) for c in hard_clauses)
+            if feasible:
+                picks += reference_greedy(soft_clauses, picks, inst.budget - len(picks))
+            infeasible += not feasible
+            plan = greedy_baseline(inst)
+            assert plan.selected == tuple(sorted(picks)), f"trial {trial}"
+            assert plan.feasible == plan.hard_satisfied == feasible, f"trial {trial}"
+            assert plan.soft_covered == soft_count(soft_clauses, picks), f"trial {trial}"
+            assert plan.soft_total == len(soft_clauses)
+        assert infeasible > 0  # the sample must exercise the infeasible branch
 
 
 class TestOracleEquivalence:

@@ -223,13 +223,6 @@ class TestExecute:
         with pytest.raises(VariableRangeError):
             execute(system, 0, {5})
 
-    def test_flake_rate_needs_rng(self):
-        system = tiny_system([{0}], 1)
-        with pytest.raises(ParameterError):
-            execute(system, 0, set(), flake_rate=0.5)
-        out = execute(system, 0, set(), flake_rate=1.0, rng=random.Random(0))
-        assert out.failed  # every path flakes at rate 1
-
     def test_ground_truth_matches_paths(self):
         system = generate_system(GenParams(group_num=2, edge_num=50, bone_num=2, n_requests=1, seed=4))
         paths = ground_truth_paths(system, 0)
