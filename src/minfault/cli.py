@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -62,6 +63,67 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# indentation of the items of a fault entry's ``symbols`` and ``vars`` lists
+_ITEM = " " * 8
+
+
+def _fault_fragments(symbol_table):
+    """Variable id -> its (``vars`` item, ``symbols`` item) text in a campaign file.
+
+    Each variable is encoded on first use, so one inject run encodes it
+    once however many files and faults hold it.
+    """
+
+    @functools.cache
+    def fragments(v: int) -> tuple[str, str]:
+        service, api, replica = (json.dumps(x) for x in symbol_table[v])
+        return (
+            f"{_ITEM}{json.dumps(v)}",
+            f"{_ITEM}[\n{_ITEM}  {service},\n{_ITEM}  {api},\n{_ITEM}  {replica}\n{_ITEM}]",
+        )
+
+    return fragments
+
+
+def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) -> str:
+    """A campaign file, the same text ``_dump_json`` gives for the document.
+
+    The small head goes through ``_dump_json``; ``valid_faults`` sorts
+    after every head key, so its entries are appended from a template
+    with each fault's variables taken from ``fragments`` (see
+    ``_fault_fragments``).  The pure-Python indenting encoder would
+    otherwise re-encode every symbol of every fault.
+    """
+    head = _dump_json({
+        "run_id": run_id,
+        "mode": mode,
+        "request_id": result.request_id,
+        "k_max": result.k_max,
+        "final_k": result.final_k,
+        "injections": result.injections,
+        "solver_calls": result.solver_calls,
+        "timings_ms": {
+            "cnf_solving": round(result.wall_times.solve_ms, 3),
+            "injection": round(result.wall_times.inject_ms, 3),
+            "bookkeeping": round(result.wall_times.bookkeeping_ms, 3),
+            "end_to_end": round(result.wall_times.total_ms, 3),
+        },
+    })
+    entries = []
+    for fault in result.valid_faults:  # non-empty: no request fails uninjected
+        frags = [fragments(v) for v in fault]
+        entries.append(
+            '    {\n      "symbols": [\n'
+            + ",\n".join([s for _, s in frags])
+            + '\n      ],\n      "vars": [\n'
+            + ",\n".join([v for v, _ in frags])
+            + "\n      ]\n    }"
+        )
+    faults = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    # drop the head's closing "\n}\n" and append the last key
+    return f'{head[:-3]},\n  "valid_faults": {faults}\n}}\n'
 
 
 class Manifest:
@@ -182,9 +244,8 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     solutions = enumerate_minimal(cnf, SolverConfig(max_size=args.k))
     manifest.timings_ms["solve"] = (time.perf_counter() - t0) * 1e3
-    lines = []
-    for sol in solutions:
-        lines.append(" ".join(str(v + 1) for v in sol) if sol else "0")
+    names = [str(v + 1) for v in range(cnf.n_vars)]
+    lines = [" ".join([names[v] for v in sol]) if sol else "0" for sol in solutions]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out is None:
         sys.stdout.write(text)
@@ -193,31 +254,6 @@ def cmd_solve(args) -> int:
         manifest.add_output(args.out, text)
         manifest.write(args.out)
     return EXIT_OK
-
-
-def _campaign_doc(result: CampaignResult, system, mode: str, run_id: str) -> dict:
-    return {
-        "run_id": run_id,
-        "mode": mode,
-        "request_id": result.request_id,
-        "k_max": result.k_max,
-        "final_k": result.final_k,
-        "injections": result.injections,
-        "solver_calls": result.solver_calls,
-        "valid_faults": [
-            {
-                "vars": list(fault),
-                "symbols": [list(system.symbol_table[v]) for v in fault],
-            }
-            for fault in result.valid_faults
-        ],
-        "timings_ms": {
-            "cnf_solving": round(result.wall_times.solve_ms, 3),
-            "injection": round(result.wall_times.inject_ms, 3),
-            "bookkeeping": round(result.wall_times.bookkeeping_ms, 3),
-            "end_to_end": round(result.wall_times.total_ms, 3),
-        },
-    }
 
 
 def cmd_inject(args) -> int:
@@ -258,6 +294,7 @@ def cmd_inject(args) -> int:
         outcomes = [run_one(rid) for rid in request_ids]
     manifest.timings_ms["campaigns"] = (time.perf_counter() - t0) * 1e3
 
+    fragments = _fault_fragments(system.symbol_table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([
@@ -269,7 +306,7 @@ def cmd_inject(args) -> int:
             writer.writerow([rid, "", "", "", "", "", error, manifest.run_id])
             continue
         out_file = args.out_dir / f"request_{rid}.json"
-        text = _dump_json(_campaign_doc(result, system, mode, manifest.run_id))
+        text = _dump_campaign(result, mode, manifest.run_id, fragments)
         _write_atomic(out_file, text)
         manifest.add_output(out_file, text)
         writer.writerow([

@@ -12,17 +12,26 @@ extended greedily and the plan is flagged approximate.
 
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
 set when clause instance i contains it.  Instances are numbered across
-requests, so a fault shared by two requests counts twice.
+requests, so a fault shared by two requests counts twice.  A sweep builds
+each side's index once and every budget level reuses it.
+
+The sweep's residual-failure metric (AFVR) applies the execution rule of
+:func:`minfault.simulation.execute` with bitmasks over each request's
+known faults: a fault still fails when every path of the request holds
+one of its non-immune variables.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .cnf import MonotoneCnf, make_cnf
 from .errors import InfeasibleBudgetError, ParameterError
-from .simulation import SimulatedSystem, execute
+# execute is not called here; perfbench/tracing.py patches it by name
+from .simulation import SimulatedSystem, execute  # noqa: F401
 from .solver import SolverConfig, enumerate_minimal
 
 # exact-mode limits: above any of these the approximate path takes over
@@ -74,11 +83,14 @@ def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
     return make_cnf([frozenset(f) for f in valid_faults], n_vars)
 
 
-def _masks(formulas: Sequence[tuple[int, MonotoneCnf]]) -> tuple[dict[int, int], int]:
+@functools.lru_cache(maxsize=2)
+def _masks(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[Mapping[int, int], int]:
     """Index clauses as ``(var -> clause bitmask, clause count)``.
 
     Clause instances are numbered across the formulas in order, one bit
-    each, so a clause shared by two requests counts twice.
+    each, so a clause shared by two requests counts twice.  A sweep
+    passes the same hard and soft tuples to every level, so the last two
+    indexes are kept; the mapping is read-only because callers share it.
     """
     masks: dict[int, int] = {}
     n = 0
@@ -88,10 +100,21 @@ def _masks(formulas: Sequence[tuple[int, MonotoneCnf]]) -> tuple[dict[int, int],
             for v in c:
                 masks[v] = masks.get(v, 0) | bit
             n += 1
-    return masks, n
+    return MappingProxyType(masks), n
 
 
-def _uncovered(index: tuple[dict[int, int], int], selected) -> int:
+def _path_holders(paths, faults) -> list[list[tuple[int, int]]]:
+    """Per path, ``(var, bitmask of the faults holding it)`` for each of its
+    variables that some fault holds.  Fault i is bit i, so a fault listed
+    twice counts twice."""
+    holders: dict[int, int] = {}
+    for i, fault in enumerate(faults):
+        for v in fault:
+            holders[v] = holders.get(v, 0) | (1 << i)
+    return [[(v, holders[v]) for v in path if v in holders] for path in paths]
+
+
+def _uncovered(index: tuple[Mapping[int, int], int], selected) -> int:
     """Bitmask of the indexed clauses that ``selected`` misses."""
     masks, n = index
     out = (1 << n) - 1
@@ -151,7 +174,7 @@ def _max_coverage_exact(candidates, cand_masks, limit):
     return best_sel
 
 
-def _greedy_cover(masks: dict[int, int], uncovered: int, budget_left: int) -> list[int]:
+def _greedy_cover(masks: Mapping[int, int], uncovered: int, budget_left: int) -> list[int]:
     """Max-marginal-gain picks over the ``uncovered`` clause bits, ties by id."""
     picks = []
     while budget_left > 0 and uncovered:
@@ -237,11 +260,15 @@ def budget_sweep(
 ) -> BudgetSweep:
     """Evaluate selection plans across increasing budgets.
 
-    Coverage metrics come from the plans; the residual-validity metric is
-    measured the closed-loop way, by re-injecting every known fault with
-    the selected APIs immune.  Requests with no known faults contribute
-    neither clauses nor an averaging term.  Marginal gain is undefined at
-    the first level and is taken against the last feasible level when an
+    Coverage metrics come from the plans.  The residual-validity metric
+    (AFVR) is the mean over requests of the share of known faults that
+    still fail with the selected APIs immune, decided by ``execute``'s
+    rule without injecting: a fault still fails when every path of the
+    request holds one of its non-immune variables.  The rule needs no
+    property of the faults: they may be non-minimal, non-failing or
+    repeated.  Requests with no known faults contribute neither clauses
+    nor an averaging term.  Marginal gain is undefined at the first
+    level and is taken against the last feasible level when an
     infeasible one sits in between.
     """
     if method not in ("exact", "greedy"):
@@ -258,16 +285,18 @@ def budget_sweep(
     active = {
         rid: faults for rid, faults in sorted(faults_by_request.items()) if faults
     }
+    high = set(high_priority)
     hard = tuple(
         (rid, build_request_cnf(faults, system.n_vars))
         for rid, faults in active.items()
-        if rid in set(high_priority)
+        if rid in high
     )
     soft = tuple(
         (rid, build_request_cnf(faults, system.n_vars))
         for rid, faults in active.items()
-        if rid not in set(high_priority)
+        if rid not in high
     )
+    path_holders = None  # rid -> _path_holders(paths, faults), built at the first feasible level
 
     levels: list[SweepLevel] = []
     prev: tuple[int, int] | None = None  # (budget, soft_covered) of last feasible level
@@ -288,11 +317,22 @@ def budget_sweep(
         mcg = None
         if prev is not None:
             mcg = (plan.soft_covered - prev[1]) / (b - prev[0])
+        if path_holders is None:
+            path_holders = {
+                rid: _path_holders(system.request(rid).paths, faults)
+                for rid, faults in active.items()
+            }
         immune = frozenset(plan.selected)
         fractions = []
         for rid, faults in active.items():
-            still = sum(1 for f in faults if execute(system, rid, set(f), immune=immune).failed)
-            fractions.append(still / len(faults))
+            still = (1 << len(faults)) - 1
+            for holders in path_holders[rid]:
+                broken = 0  # faults with a non-immune variable on this path
+                for v, faults_holding in holders:
+                    if v not in immune:
+                        broken |= faults_holding
+                still &= broken
+            fractions.append(still.bit_count() / len(faults))
         afvr = sum(fractions) / len(fractions) if fractions else 0.0
         levels.append(
             SweepLevel(budget=b, plan=plan, cr=plan.cr, mcg=mcg, afvr=afvr, feasible=True)

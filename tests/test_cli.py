@@ -1,13 +1,23 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from minfault.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from minfault.campaign import CampaignConfig, run_campaign, run_campaign_static
+from minfault.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_USAGE,
+    _dump_campaign,
+    _fault_fragments,
+    main,
+)
 from minfault.cnf import compute_stats, parse_cnf
-from minfault.simulation import load_system
+from minfault.simulation import GenParams, generate_system, load_system
 
 FIG_CNF = "p mcnf 4 3\n1 2 0\n2 3 0\n1 4 0\n"  # (A|B)(B|C)(A|D)
 
@@ -302,3 +312,90 @@ class TestDeterminism:
                         assert ra[key] == rb[key]
         assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
         assert (a / "plan.csv").read_bytes() == (b / "plan.csv").read_bytes()
+
+
+def campaign_doc(result, symbol_table, mode, run_id):
+    """Reference: the campaign-file document, to be encoded by ``json.dumps``."""
+    return {
+        "run_id": run_id,
+        "mode": mode,
+        "request_id": result.request_id,
+        "k_max": result.k_max,
+        "final_k": result.final_k,
+        "injections": result.injections,
+        "solver_calls": result.solver_calls,
+        "valid_faults": [
+            {
+                "vars": list(fault),
+                "symbols": [list(symbol_table[v]) for v in fault],
+            }
+            for fault in result.valid_faults
+        ],
+        "timings_ms": {
+            "cnf_solving": round(result.wall_times.solve_ms, 3),
+            "injection": round(result.wall_times.inject_ms, 3),
+            "bookkeeping": round(result.wall_times.bookkeeping_ms, 3),
+            "end_to_end": round(result.wall_times.total_ms, 3),
+        },
+    }
+
+
+def assert_same_text(result, symbol_table, fragments=None, mode="dynamic", run_id="0123456789ab"):
+    fragments = fragments or _fault_fragments(symbol_table)
+    got = _dump_campaign(result, mode, run_id, fragments)
+    doc = campaign_doc(result, symbol_table, mode, run_id)
+    assert got == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return got
+
+
+class TestCampaignFile:
+    """The templated campaign file equals ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GenParams(group_num=2, edge_num=40, bone_num=3, n_requests=8,
+                      shared_api_fraction=0.3, seed=1),
+            GenParams(group_num=3, edge_num=20, bone_num=2, n_requests=2, seed=5),
+        ],
+        ids=["fleet", "unshared"],
+    )
+    def test_seeded_systems(self, params, mode):
+        system = generate_system(params)
+        fragments = _fault_fragments(system.symbol_table)  # shared, as in one inject run
+        for req in system.requests:
+            rid = req.request_id
+            if mode == "static":
+                result = run_campaign_static(system, rid, 3)
+            else:
+                result = run_campaign(system, CampaignConfig(request_id=rid, k_max=3))
+            assert result.valid_faults
+            assert_same_text(result, system.symbol_table, fragments, mode=mode)
+
+    @pytest.fixture
+    def result(self):
+        system = generate_system(GenParams(group_num=2, edge_num=9, bone_num=2, n_requests=1, seed=3))
+        return run_campaign(system, CampaignConfig(request_id=0, k_max=2))
+
+    def test_empty_fault_list(self, result):
+        text = assert_same_text(dataclasses.replace(result, valid_faults=()), {})
+        assert text.endswith('"valid_faults": []\n}\n')
+
+    @pytest.mark.parametrize(
+        "symbol",
+        [
+            ("dienst-über", "/名前/é", 0),
+            ('svc "quoted"', "/back\\slash\\", 7),
+            ("ctl\t\n\r\x00\x1f\x7f", "/\u2028\ud83d\ude00", 2**70),
+            ("svc", "/api", True),
+        ],
+        ids=["non-ascii", "quote-backslash", "control-large-replica", "true-replica"],
+    )
+    def test_symbols_need_escaping(self, result, symbol):
+        table = {v: symbol for v in (0, 1, 2**40, 10**12)}
+        faults = ((0,), (1, 2**40, 10**12), (0, 10**12))
+        text = assert_same_text(dataclasses.replace(result, valid_faults=faults), table)
+        assert text.isascii()
+        if symbol[2] is True:
+            assert "\n          true\n" in text

@@ -358,3 +358,64 @@ class TestBudgetSweep:
         # full coverage still reached; the empty request neither blocks nor counts
         assert sweep.levels[-1].cr == 1.0
         assert sweep.levels[-1].afvr == 0.0
+
+
+def reinjected_afvr(system, faults_by_request, selected):
+    """Oracle: re-inject every known fault with ``selected`` immune."""
+    immune = frozenset(selected)
+    fractions = [
+        sum(1 for f in faults if execute(system, rid, set(f), immune=immune).failed) / len(faults)
+        for rid, faults in sorted(faults_by_request.items())
+        if faults
+    ]
+    return sum(fractions) / len(fractions) if fractions else 0.0
+
+
+def assert_afvr_matches_reinjection(system, faults, high, budgets):
+    for method in ("exact", "greedy"):
+        levels = [lv for lv in budget_sweep(system, faults, high, budgets, method=method).levels
+                  if lv.feasible]
+        assert levels
+        for lv in levels:
+            assert lv.afvr == reinjected_afvr(system, faults, lv.plan.selected)
+
+
+class TestAfvrOracle:
+    """``budget_sweep``'s AFVR equals re-injection through ``execute``, exactly."""
+
+    @pytest.mark.parametrize("seed", [29, 30, 31])
+    def test_campaign_faults(self, seed):
+        system, faults, high = _sweep_inputs(seed=seed)
+        assert_afvr_matches_reinjection(system, faults, high, [1, 2, 3, 5, 8, system.n_vars])
+
+    def test_campaign_faults_fleet(self):
+        system = generate_system(GenParams(
+            group_num=2, edge_num=40, bone_num=3, n_requests=8, shared_api_fraction=0.3, seed=1,
+        ))
+        faults = {
+            r.request_id: run_campaign(system, CampaignConfig(request_id=r.request_id, k_max=3)).valid_faults
+            for r in system.requests
+        }
+        assert_afvr_matches_reinjection(system, faults, [0], [8, 16, 32, 64])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hand_made_faults(self, seed):
+        # non-minimal, non-failing and repeated faults, within and across requests
+        rng = random.Random(seed)
+        system = generate_system(GenParams(
+            group_num=2, edge_num=12, bone_num=2, n_requests=4, shared_api_fraction=0.4, seed=seed,
+        ))
+        everything = range(system.n_vars)
+        shared = [tuple(rng.sample(everything, rng.randint(1, 5))) for _ in range(6)]
+        faults = {}
+        for req in system.requests:
+            mine = sorted(set().union(*req.paths))
+            own = [tuple(rng.sample(mine, rng.randint(1, 7))) for _ in range(25)]
+            own += [tuple(rng.sample(everything, rng.randint(1, 4))) for _ in range(5)]
+            own += own[:3] + shared
+            rng.shuffle(own)
+            faults[req.request_id] = own
+        fails = [(rid, f) for rid, fs in faults.items() for f in fs if execute(system, rid, set(f)).failed]
+        assert 0 < len(fails) < sum(map(len, faults.values()))
+        assert any(execute(system, rid, set(f[1:])).failed for rid, f in fails)  # non-minimal
+        assert_afvr_matches_reinjection(system, faults, [1], [2, 4, 6, 9, 14, 20])
