@@ -244,7 +244,8 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     solutions = enumerate_minimal(cnf, SolverConfig(max_size=args.k))
     manifest.timings_ms["solve"] = (time.perf_counter() - t0) * 1e3
-    names = [str(v + 1) for v in range(cnf.n_vars)]
+    # only the variables that occur: the header may declare any number
+    names = {v: str(v + 1) for v in cnf.variables()}
     lines = [" ".join([names[v] for v in sol]) if sol else "0" for sol in solutions]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out is None:
@@ -358,11 +359,16 @@ def cmd_harden(args) -> int:
             doc = json.loads(raw)
             rid = doc["request_id"]
             faults = [tuple(entry["vars"]) for entry in doc["valid_faults"]]
-            # run identity hashes the fault set, not the bytes: neither
-            # timing fields nor discovery order may perturb it
-            semantic = repr((rid, sorted(faults))).encode()
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
+        # ``type(x) is int`` also refuses JSON's true and false
+        if type(rid) is not int or {type(v) for fault in faults for v in fault} - {int}:
+            raise SchemaError(f"{f}: request_id and fault variables must be integers")
+        if rid in faults_by_request:
+            raise SchemaError(f"{f}: a second campaign result for request {rid}")
+        # run identity hashes the fault set, not the bytes: neither
+        # timing fields nor discovery order may perturb it
+        semantic = repr((rid, sorted(faults))).encode()
         faults_by_request[rid] = faults
         manifest.add_input(f, raw, identity=semantic)
 

@@ -14,6 +14,15 @@ variable covers, so every leaf is minimal and no leaf filter is needed.
 It prunes with the disjoint-clause lower bound (Gainer-Dewar &
 Vera-Licona, SIAM J. Discrete Math. 31, 2017): a set of pairwise-disjoint
 uncovered clauses needs as many more variables.
+
+``enumerate_minimal`` also collapses twin variables, those occurring in
+exactly the same clauses, a reduction from the same survey.  It is exact:
+a minimal set holds at most one variable of each twin class (two twins
+cover the same clauses, so neither could keep a crit clause), and
+swapping a member for any of its twins gives another minimal set of the
+same size.  So the minimal sets of at most ``max_size`` variables are
+exactly the product expansions of those of the formula over one
+representative per class.
 """
 
 from __future__ import annotations
@@ -55,14 +64,31 @@ class SolverCounters:
     nonminimal_leaves: int = 0
 
 
-def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
-    """Per clause, ``(coverage mask, variable)`` for each of its variables."""
+def _cover_masks(cnf: MonotoneCnf) -> dict[int, int]:
+    """Each occurring variable's clause-cover mask: bit i for clause i."""
     cover: dict[int, int] = {}
     for i, c in enumerate(cnf.clauses):
         bit = 1 << i
         for v in c:
             cover[v] = cover.get(v, 0) | bit
+    return cover
+
+
+def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
+    """Per clause, ``(coverage mask, variable)`` for each of its variables."""
+    cover = _cover_masks(cnf)
     return [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
+
+
+def _twin_classes(cnf: MonotoneCnf) -> list[list[int]]:
+    """The occurring variables grouped by cover mask, each class ascending.
+
+    Classes come in order of their smallest member, the representative.
+    """
+    classes: dict[int, list[int]] = {}
+    for v, mask in sorted(_cover_masks(cnf).items()):
+        classes.setdefault(mask, []).append(v)
+    return list(classes.values())
 
 
 def iter_minimal(
@@ -151,17 +177,44 @@ def iter_minimal(
 def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
     """All subset-minimal satisfying assignments with at most ``max_size`` variables.
 
-    The whole of :func:`iter_minimal`, sorted: each assignment ascending,
-    the list lexicographic, whatever the search order.  The empty formula
+    The same list as ``sorted(iter_minimal(cnf, config))``: each
+    assignment ascending, the list lexicographic.  The empty formula
     yields ``[()]``.
+
+    Twin variables, those occurring in exactly the same clauses, are
+    searched once: :func:`iter_minimal` runs over one representative per
+    twin class, and each set it yields is expanded by the product of its
+    classes' members.  This is exact, as a minimal set holds at most one
+    member of each class and any member may stand in for another (see the
+    module docstring).  A formula without twins is searched as it is.
     """
-    return sorted(iter_minimal(cnf, config))
+    classes = _twin_classes(cnf)
+    if all(len(members) == 1 for members in classes):
+        return sorted(iter_minimal(cnf, config))
+    members_of = {members[0]: members for members in classes}
+    reduced = MonotoneCnf(
+        clauses=tuple(frozenset(v for v in c if v in members_of) for c in cnf.clauses),
+        n_vars=cnf.n_vars,
+    )
+    # when every class ends before the next one begins, the product of an
+    # ascending tuple of representatives is ascending too
+    apart = all(a[-1] < b[0] for a, b in zip(classes, classes[1:]))
+    out: list[FaultSet] = []
+    for reps in iter_minimal(reduced, config):
+        expanded = itertools.product(*[members_of[r] for r in reps])
+        out.extend(expanded if apart else (tuple(sorted(t)) for t in expanded))
+    out.sort()
+    return out
 
 
 def enumerate_minimal_with_counters(
     cnf: MonotoneCnf, config: SolverConfig
 ) -> tuple[list[FaultSet], SolverCounters]:
-    """:func:`enumerate_minimal` plus the counters of its search."""
+    """:func:`enumerate_minimal`'s list, and the counters of the plain search.
+
+    This runs :func:`iter_minimal` on ``cnf`` itself, without the twin
+    reduction, so the counters describe the search a campaign makes.
+    """
     counters = SolverCounters()
     return sorted(iter_minimal(cnf, config, counters)), counters
 

@@ -3,8 +3,14 @@
 import csv
 import dataclasses
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minfault.campaign import CampaignConfig, run_campaign, run_campaign_static
 from minfault.cli import (
@@ -123,6 +129,26 @@ class TestSolve:
         assert code == EXIT_OK
         assert stdout == ""
         assert out.read_text() == "1 2\n1 3\n2 4\n"
+
+
+    def test_huge_declared_universe(self, tmp_path):
+        # one clause over variable 1 of 10**9 declared: nothing may be
+        # allocated per declared variable (a name table of 10**9 strings
+        # does not fit the address-space limit)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p mcnf 1000000000 1\n1 0\n")
+        limit = 512 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "minfault.cli", "solve", "--cnf", str(cnf), "--k", "2"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "1\n"
 
 
 class TestInject:
@@ -265,6 +291,113 @@ class TestHarden:
             capsys,
         )
         assert code == EXIT_USAGE
+
+
+def harden_argv(system, camp, out):
+    return ["harden", "--system", str(system), "--campaign-dir", str(camp),
+            "--high", "auto-topfreq:1", "--budgets", "1,64", "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def campaign_docs(tmp_path_factory):
+    """A small system file and its campaign documents, by file name."""
+    base = tmp_path_factory.mktemp("campaign")
+    system = base / "sys.json"
+    camp = base / "camp"
+    assert main(["gen", "--groups", "2", "--edges", "50", "--bones", "2",
+                 "--requests", "3", "--seed", "7", "--out", str(system)]) == EXIT_OK
+    assert main(["inject", "--system", str(system), "--all", "--kmax", "2",
+                 "--out-dir", str(camp)]) == EXIT_OK
+    docs = {f.name: json.loads(f.read_text()) for f in sorted(camp.glob("request_*.json"))}
+    assert len(docs) == 3
+    return system, docs
+
+
+def write_campaign(camp, docs):
+    camp.mkdir()
+    for name, doc in docs.items():
+        (camp / name).write_text(json.dumps(doc))
+
+
+# JSON values a corrupted campaign file may hold in place of any of its parts
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-5, max_value=2**70)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestHardenInputs:
+    """Malformed campaign files are input errors (exit 2), never crashes."""
+
+    def test_valid_files(self, tmp_path, campaign_docs, capsys):
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", docs)
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("request_id", "1"), ("request_id", [1]), ("request_id", True), ("request_id", 1.0)],
+        ids=["string", "list", "true", "float"],
+    )
+    def test_request_id_not_an_integer(self, tmp_path, campaign_docs, capsys, key, value):
+        system, docs = campaign_docs
+        docs = dict(docs, **{"request_1.json": dict(docs["request_1.json"], **{key: value})})
+        write_campaign(tmp_path / "camp", docs)
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_INPUT
+        assert "request_1.json: request_id and fault variables must be integers" in err
+
+    @pytest.mark.parametrize("fault", [[[1], 2], [True], [1, "2"], [1.0]],
+                             ids=["list", "true", "string", "float"])
+    def test_fault_variable_not_an_integer(self, tmp_path, campaign_docs, capsys, fault):
+        system, docs = campaign_docs
+        doc = json.loads(json.dumps(docs["request_2.json"]))
+        doc["valid_faults"][-1]["vars"] = fault
+        write_campaign(tmp_path / "camp", dict(docs, **{"request_2.json": doc}))
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_INPUT
+        assert "request_2.json: request_id and fault variables must be integers" in err
+
+    def test_duplicate_request_id(self, tmp_path, campaign_docs, capsys):
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", dict(docs, **{"request_9.json": docs["request_0.json"]}))
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_INPUT
+        assert "request_9.json: a second campaign result for request 0" in err
+
+    def test_deeply_nested_document(self, tmp_path, campaign_docs, capsys):
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", docs)
+        depth = 100_000  # past the decoder's recursion limit
+        (tmp_path / "camp" / "request_1.json").write_text(
+            '{"request_id": 1, "valid_faults": ' + "[" * depth + "]" * depth + "}"
+        )
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_INPUT
+        assert "request_1.json: malformed campaign result" in err
+
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_corrupted_documents(self, tmp_path_factory, campaign_docs, data):
+        system, docs = campaign_docs
+        docs = json.loads(json.dumps(docs))
+        name = data.draw(st.sampled_from(sorted(docs)))
+        parent, key = docs, name
+        # walk down from the document root, then replace or delete the node
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+            node = parent[key]
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, data.draw(st.sampled_from(keys))
+        if isinstance(parent, dict) and parent is not docs and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(json_values)
+        tmp = tmp_path_factory.mktemp("corrupt")
+        write_campaign(tmp / "camp", docs)
+        assert main(harden_argv(system, tmp / "camp", tmp / "p.json")) in (EXIT_OK, EXIT_INPUT)
 
 
 def strip_timings(doc):

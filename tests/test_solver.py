@@ -249,3 +249,59 @@ class TestIterMinimal:
         assert list(iter_minimal(cnf, SolverConfig(max_size=2), counters)) == []
         assert counters.expansions == 0
         assert enumerate_minimal(cnf, SolverConfig(max_size=3)) == brute_force_minimal(cnf, 3)
+
+
+@st.composite
+def cnfs_with_twins(draw):
+    """A random formula plus fresh variables that copy others' occurrences.
+
+    The copies get the highest ids, so their twin classes interleave with
+    the others by id.
+    """
+    cnf = draw(monotone_cnfs(max_vars=7, max_clauses=5))
+    originals = draw(st.lists(st.integers(min_value=0, max_value=cnf.n_vars - 1), max_size=6))
+    n = cnf.n_vars + len(originals)
+    clauses = [
+        set(c) | {cnf.n_vars + j for j, v in enumerate(originals) if v in c}
+        for c in cnf.clauses
+    ]
+    return make_cnf(clauses, n)
+
+
+class TestTwinClasses:
+    """``enumerate_minimal`` searches one variable per twin class and expands by product."""
+
+    @pytest.mark.parametrize(
+        "shape, count", [((2, 50, 2), 185_761), ((4, 100, 3), 81)], ids=["2-50-2", "4-100-3"]
+    )
+    def test_generated_request_formulas(self, shape, count):
+        cnf = request_cnf(*shape)
+        cfg = SolverConfig(max_size=4)
+        out = enumerate_minimal(cnf, cfg)
+        assert len(out) == count
+        assert out == sorted(iter_minimal(cnf, cfg))
+
+    def test_interleaved_classes(self):
+        # classes {0, 2} and {1, 3}: the product of representatives (0, 1)
+        # yields (2, 1), which must come out as (1, 2)
+        cnf = make_cnf([{0, 2}, {1, 3}], 4)
+        out = enumerate_minimal(cnf, SolverConfig(max_size=2))
+        assert out == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert out == brute_force_minimal(cnf, 2)
+
+    def test_max_size_between_class_sizes(self):
+        # classes {0, 1}, {2, 3}, {4}, {5, 6}: (4, 5) and (0, 2, 5) at class level
+        cnf = make_cnf([{0, 1, 4}, {2, 3, 4}, {5, 6}], 7)
+        assert enumerate_minimal(cnf, SolverConfig(max_size=2)) == [(4, 5), (4, 6)]
+        assert len(enumerate_minimal(cnf, SolverConfig(max_size=3))) == 10
+        for k in range(5):
+            assert enumerate_minimal(cnf, SolverConfig(max_size=k)) == brute_force_minimal(cnf, k)
+
+    def test_empty_formula_and_zero_bound(self):
+        assert enumerate_minimal(make_cnf([], 5), SolverConfig(max_size=0)) == [()]
+        assert enumerate_minimal(make_cnf([{0, 1}, {0, 1, 2}], 3), SolverConfig(max_size=0)) == []
+
+    @given(cnfs_with_twins(), st.integers(min_value=0, max_value=8))
+    @settings(max_examples=200)
+    def test_forced_twins_match_oracle(self, cnf, k):
+        assert enumerate_minimal(cnf, SolverConfig(max_size=k)) == brute_force_minimal(cnf, k)
