@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .hardening import budget_sweep
 from .simulation import GenParams, generate_system, load_system, system_to_json
+from .solver import SolverConfig, iter_sorted_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,11 +56,28 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
+    """Write the text chunks to ``path`` and return the SHA-256 of its bytes.
+
+    The chunks go to a ``.tmp`` sibling that ``os.replace`` then moves
+    over ``path``, so readers see the whole file or none of it.  When
+    writing fails, or producing a chunk raises, the ``.tmp`` file is
+    removed and ``path`` is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
 
 
 def _dump_json(doc) -> str:
@@ -148,8 +167,8 @@ class Manifest:
         material = data if identity is None else identity
         self.run_id = _sha256((self.run_id + _sha256(material)).encode())[:12]
 
-    def add_output(self, path: Path, text: str) -> None:
-        self.outputs[str(path)] = _sha256(text.encode())
+    def add_output(self, path: Path, digest: str) -> None:
+        self.outputs[str(path)] = digest
 
     def write(self, primary_out: Path) -> None:
         doc = {
@@ -161,7 +180,7 @@ class Manifest:
             "outputs": self.outputs,
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
         }
-        _write_atomic(Path(str(primary_out) + ".manifest.json"), _dump_json(doc))
+        _write_atomic(Path(str(primary_out) + ".manifest.json"), [_dump_json(doc)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,34 +245,65 @@ def cmd_gen(args) -> int:
     system = generate_system(params)
     manifest.timings_ms["generate"] = (time.perf_counter() - t0) * 1e3
     text = system_to_json(system)
-    _write_atomic(args.out, text)
-    manifest.add_output(args.out, text)
+    manifest.add_output(args.out, _write_atomic(args.out, [text]))
     manifest.write(args.out)
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    from .solver import SolverConfig, enumerate_minimal
+# ``solve`` joins its output into chunks of about this many characters
+_CHUNK_CHARS = 1 << 20
 
+
+def _solution_chunks(blocks, names: dict[int, str]) -> Iterator[str]:
+    """``solve``'s output text for the solver's blocks, in chunks.
+
+    One line per solution: its variables' names separated by spaces, or
+    ``0`` for the empty solution.  A block ``(prefix, lasts)`` is
+    formatted with one join over its shared prefix text.
+    """
+    parts: list[str] = []
+    size = 0
+    for prefix, lasts in blocks:
+        if lasts is None:
+            text = "0\n"
+        else:
+            head = "".join([names[v] + " " for v in prefix])
+            text = head + ("\n" + head).join([names[v] for v in lasts]) + "\n"
+        parts.append(text)
+        size += len(text)
+        if size >= _CHUNK_CHARS:
+            yield "".join(parts)
+            parts = []
+            size = 0
+    if parts:
+        yield "".join(parts)
+
+
+def cmd_solve(args) -> int:
+    """Stream the sorted minimal solutions to ``--out`` (atomically) or stdout.
+
+    Nothing holds the whole output: the solver's blocks are formatted
+    and written in chunks of about 1 MB, and the manifest's digest is
+    computed on the way.  The ``solve`` timing covers search, formatting
+    and writing, which interleave.
+    """
     if args.k < 0:
         raise UsageError("--k must be >= 0")
     data = args.cnf.read_bytes()
     cnf = parse_cnf(data.decode("utf-8"))
     manifest = Manifest("solve", {"cnf": str(args.cnf), "k": args.k}, identity={"k": args.k})
     manifest.add_input(args.cnf, data)
-    t0 = time.perf_counter()
-    solutions = enumerate_minimal(cnf, SolverConfig(max_size=args.k))
-    manifest.timings_ms["solve"] = (time.perf_counter() - t0) * 1e3
     # only the variables that occur: the header may declare any number
     names = {v: str(v + 1) for v in cnf.variables()}
-    lines = [" ".join([names[v] for v in sol]) if sol else "0" for sol in solutions]
-    text = "\n".join(lines) + ("\n" if lines else "")
+    chunks = _solution_chunks(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names)
     if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, text)
-        manifest.add_output(args.out, text)
-        manifest.write(args.out)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return EXIT_OK
+    t0 = time.perf_counter()
+    manifest.add_output(args.out, _write_atomic(args.out, chunks))
+    manifest.timings_ms["solve"] = (time.perf_counter() - t0) * 1e3
+    manifest.write(args.out)
     return EXIT_OK
 
 
@@ -308,16 +358,14 @@ def cmd_inject(args) -> int:
             continue
         out_file = args.out_dir / f"request_{rid}.json"
         text = _dump_campaign(result, mode, manifest.run_id, fragments)
-        _write_atomic(out_file, text)
-        manifest.add_output(out_file, text)
+        manifest.add_output(out_file, _write_atomic(out_file, [text]))
         writer.writerow([
             rid, result.injections, result.solver_calls, len(result.valid_faults),
             round(result.wall_times.solve_ms, 3), round(result.wall_times.total_ms, 3),
             "", manifest.run_id,
         ])
     summary = args.out_dir / "summary.csv"
-    _write_atomic(summary, buf.getvalue())
-    manifest.add_output(summary, buf.getvalue())
+    manifest.add_output(summary, _write_atomic(summary, [buf.getvalue()]))
     manifest.write(summary)
     return EXIT_OK
 
@@ -415,9 +463,7 @@ def cmd_harden(args) -> int:
         "high_priority": sorted(high),
         "levels": levels_doc,
     }
-    text = _dump_json(doc)
-    _write_atomic(args.out, text)
-    manifest.add_output(args.out, text)
+    manifest.add_output(args.out, _write_atomic(args.out, [_dump_json(doc)]))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -436,8 +482,7 @@ def cmd_harden(args) -> int:
         else:
             writer.writerow([lv.budget, 0, "", "", "", "", "", "", manifest.run_id])
     csv_path = args.out.with_suffix(".csv") if args.out.suffix == ".json" else Path(str(args.out) + ".csv")
-    _write_atomic(csv_path, buf.getvalue())
-    manifest.add_output(csv_path, buf.getvalue())
+    manifest.add_output(csv_path, _write_atomic(csv_path, [buf.getvalue()]))
     manifest.write(args.out)
 
     if not any(lv.feasible for lv in sweep.levels):

@@ -281,7 +281,7 @@ def system_to_json(system: SimulatedSystem) -> str:
 def system_from_json(text: str) -> SimulatedSystem:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     allowed = {"format", "n_vars", "requests", "symbol_table"}

@@ -3,9 +3,10 @@
 A monotone CNF is a hypergraph, and its minimal satisfying assignments
 are that hypergraph's minimal hitting sets.  Two independent routes
 exist on purpose: ``iter_minimal`` is a lazy bitmask depth-first search
-meant for real workloads (``enumerate_minimal`` is its output, sorted),
-and ``brute_force_minimal`` is a small-universe exhaustive oracle used to
-verify it.  They share no search machinery.
+meant for real workloads (``iter_sorted_blocks`` and ``enumerate_minimal``
+give its output in lexicographic order), and ``brute_force_minimal`` is a
+small-universe exhaustive oracle used to verify it.  They share no search
+machinery.
 
 The search keeps minimality as an invariant with critical-clause
 ("crit") sets, after Murakami & Uno's MMCS (Discrete Applied Math. 170,
@@ -15,18 +16,19 @@ It prunes with the disjoint-clause lower bound (Gainer-Dewar &
 Vera-Licona, SIAM J. Discrete Math. 31, 2017): a set of pairwise-disjoint
 uncovered clauses needs as many more variables.
 
-``enumerate_minimal`` also collapses twin variables, those occurring in
+``iter_sorted_blocks`` also collapses twin variables, those occurring in
 exactly the same clauses, a reduction from the same survey.  It is exact:
 a minimal set holds at most one variable of each twin class (two twins
 cover the same clauses, so neither could keep a crit clause), and
 swapping a member for any of its twins gives another minimal set of the
 same size.  So the minimal sets of at most ``max_size`` variables are
-exactly the product expansions of those of the formula over one
-representative per class.
+exactly the choices of one member per class from the minimal sets of the
+formula over the classes.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -35,6 +37,8 @@ from .cnf import MonotoneCnf, is_satisfied
 from .errors import FormulaTooLargeError, ParameterError
 
 FaultSet = tuple  # tuple[VarId, ...] in ascending order
+
+_UNBOUNDED = float("inf")
 
 
 @dataclass(frozen=True)
@@ -80,17 +84,6 @@ def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
     return [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
 
 
-def _twin_classes(cnf: MonotoneCnf) -> list[list[int]]:
-    """The occurring variables grouped by cover mask, each class ascending.
-
-    Classes come in order of their smallest member, the representative.
-    """
-    classes: dict[int, list[int]] = {}
-    for v, mask in sorted(_cover_masks(cnf).items()):
-        classes.setdefault(mask, []).append(v)
-    return list(classes.values())
-
-
 def iter_minimal(
     cnf: MonotoneCnf, config: SolverConfig, counters: SolverCounters | None = None
 ) -> Iterator[FaultSet]:
@@ -113,16 +106,20 @@ def iter_minimal(
     """
     if counters is None:
         counters = SolverCounters()
-    m = cnf.m
-    if m == 0:
+    if cnf.m == 0:
         counters.leaf_hits += 1
         yield ()
         return
-    maxd = config.max_size
+    yield from _search(_clause_candidates(cnf), config.max_size, counters)
+
+
+def _search(
+    cands: list[list[tuple[int, int]]], maxd: int, counters: SolverCounters
+) -> Iterator[FaultSet]:
+    """:func:`iter_minimal`'s search, given each clause's ``(coverage mask, variable)`` list."""
     if maxd == 0:
         return
-
-    cands = _clause_candidates(cnf)
+    m = len(cands)
     # clauses sharing no variable with clause i, as a mask
     apart = []
     for cs in cands:
@@ -174,36 +171,125 @@ def iter_minimal(
         counters.pushes += len(children)
 
 
+Block = tuple  # (prefix, lasts): the assignments prefix + (x,) for x in lasts
+
+
+def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block]:
+    """Every subset-minimal satisfying assignment of at most ``max_size`` variables, as blocks.
+
+    A block ``(prefix, lasts)`` stands for the assignments
+    ``prefix + (x,)`` for each ``x`` in ``lasts`` (never empty).  Blocks
+    come in lexicographic order: flattened, they equal
+    ``sorted(iter_minimal(cnf, config))``.  The empty formula's one
+    assignment ``()`` has no last variable and comes as ``((), None)``.
+
+    Twin variables, those occurring in exactly the same clauses, are
+    searched once: :func:`iter_minimal`'s search runs over dense class
+    indices, class ``i`` being the twin class with the ``i``-th smallest
+    first member, so its bitmasks grow with the number of classes, not
+    with the largest variable id.  Each set of classes it yields stands
+    for every choice of one member per class (exact, see the module
+    docstring); :func:`_expand_in_order` produces those choices in
+    order.  Memory grows with the class-level sets, not with the
+    expanded output.  A formula without twins has one class per
+    variable, so it takes the same path and its sets are its output.
+    """
+    if cnf.m == 0:
+        yield (), None
+        return
+    cover = _cover_masks(cnf)
+    # cover mask -> its twin class, ascending; classes in order of their
+    # smallest member
+    twins: dict[int, list[int]] = {}
+    for v in sorted(cover):
+        twins.setdefault(cover[v], []).append(v)
+    masks = list(twins)
+    index = {v: i for i, members in enumerate(twins.values()) for v in members}
+    cands = [[(masks[i], i) for i in sorted({index[v] for v in c})] for c in cnf.clauses]
+    sets = list(_search(cands, config.max_size, SolverCounters()))
+    yield from _expand_in_order(list(twins.values()), sets)
+
+
+def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]]) -> Iterator[Block]:
+    """The member choices of ``sets`` (tuples of indices into ``classes``) as sorted blocks.
+
+    A depth-first walk with an explicit stack, so no global sort and no
+    recursion.  A node is a prefix and the class sets still to place
+    after it.  Its next variable ``x`` is a member, above the prefix's
+    last variable, of a pending class whose set keeps a member above
+    ``x`` in each of its other classes; so every node has a completion.
+    Candidates are taken in ascending order across classes, which keeps
+    classes whose ids interleave in order.  A node whose only pending
+    set is one class is one block: that class's members above the prefix.
+    """
+    first = [members[0] for members in classes]
+    top = [members[-1] for members in classes]
+    # a walk node is (prefix, class sets still to place, None); a block
+    # waiting its turn is (prefix, None, lasts)
+    stack: list[tuple[FaultSet, list | None, list | None]] = [((), sets, None)]
+    while stack:
+        prefix, pending, lasts = stack.pop()
+        if pending is None:
+            yield prefix, lasts
+            continue
+        lo = prefix[-1] if prefix else -1
+        # class -> (the rest of each pending set holding it, and the bound
+        # the next variable must stay below for that set's other classes)
+        groups: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        for rs in pending:
+            if len(rs) == 1:
+                groups[rs[0]] = [((), _UNBOUNDED)]
+                continue
+            m1, m2 = sorted([top[c] for c in rs])[:2]
+            for c in rs:
+                hi = m2 if top[c] == m1 else m1
+                if first[c] < hi:
+                    groups.setdefault(c, []).append((tuple([d for d in rs if d != c]), hi))
+        if len(groups) == 1:
+            # the common leaf, one set with one class left: its block
+            # needs no work per variable
+            (c, entries), = groups.items()
+            if not entries[0][0]:
+                members = classes[c]
+                yield prefix, members[bisect.bisect_right(members, lo):]
+                continue
+        steps = []
+        for c, entries in groups.items():
+            members = classes[c]
+            a = bisect.bisect_right(members, lo)
+            b = bisect.bisect_left(members, max([hi for _, hi in entries]))
+            steps.extend([(x, c) for x in members[a:b]])
+        steps.sort()
+        items = []
+        run: list[int] = []
+        for x, c in steps:
+            entries = groups[c]
+            if not entries[0][0]:
+                run.append(x)  # the set's last class: prefix + (x,) is complete
+                continue
+            if run:
+                items.append((prefix, None, run))
+                run = []
+            items.append((prefix + (x,), [rest for rest, hi in entries if x < hi], None))
+        if run:
+            items.append((prefix, None, run))
+        stack.extend(reversed(items))
+
+
 def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
     """All subset-minimal satisfying assignments with at most ``max_size`` variables.
 
     The same list as ``sorted(iter_minimal(cnf, config))``: each
     assignment ascending, the list lexicographic.  The empty formula
-    yields ``[()]``.
-
-    Twin variables, those occurring in exactly the same clauses, are
-    searched once: :func:`iter_minimal` runs over one representative per
-    twin class, and each set it yields is expanded by the product of its
-    classes' members.  This is exact, as a minimal set holds at most one
-    member of each class and any member may stand in for another (see the
-    module docstring).  A formula without twins is searched as it is.
+    yields ``[()]``.  This is :func:`iter_sorted_blocks` flattened, so
+    twin variables are searched once and expanded in order.
     """
-    classes = _twin_classes(cnf)
-    if all(len(members) == 1 for members in classes):
-        return sorted(iter_minimal(cnf, config))
-    members_of = {members[0]: members for members in classes}
-    reduced = MonotoneCnf(
-        clauses=tuple(frozenset(v for v in c if v in members_of) for c in cnf.clauses),
-        n_vars=cnf.n_vars,
-    )
-    # when every class ends before the next one begins, the product of an
-    # ascending tuple of representatives is ascending too
-    apart = all(a[-1] < b[0] for a, b in zip(classes, classes[1:]))
     out: list[FaultSet] = []
-    for reps in iter_minimal(reduced, config):
-        expanded = itertools.product(*[members_of[r] for r in reps])
-        out.extend(expanded if apart else (tuple(sorted(t)) for t in expanded))
-    out.sort()
+    for prefix, lasts in iter_sorted_blocks(cnf, config):
+        if lasts is None:
+            out.append(prefix)
+        else:
+            out.extend(zip(*map(itertools.repeat, prefix), lasts))
     return out
 
 

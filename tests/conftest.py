@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from minfault.cnf import make_cnf
+from minfault.simulation import GenParams, generate_system
 
 
 def compact_cnf(paths):
@@ -23,6 +24,13 @@ def compact_cnf(paths):
         local_paths.append(s)
     to_global = {l: g for g, l in to_local.items()}
     return make_cnf(local_paths, len(to_local)), to_global
+
+
+def request_cnf(group_num, edge_num, bone_num):
+    """The formula of request 0 of an unshared generated system (seed 1)."""
+    system = generate_system(GenParams(group_num=group_num, edge_num=edge_num,
+                                       bone_num=bone_num, n_requests=1, seed=1))
+    return make_cnf(system.request(0).paths, system.n_vars)
 
 
 def globalize(fault_sets, to_global):

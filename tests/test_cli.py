@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import resource
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import request_cnf
+import minfault.cli as cli
 from minfault.campaign import CampaignConfig, run_campaign, run_campaign_static
 from minfault.cli import (
     EXIT_INFEASIBLE,
@@ -22,8 +25,9 @@ from minfault.cli import (
     _fault_fragments,
     main,
 )
-from minfault.cnf import compute_stats, parse_cnf
+from minfault.cnf import compute_stats, make_cnf, parse_cnf, serialize_cnf
 from minfault.simulation import GenParams, generate_system, load_system
+from minfault.solver import SolverConfig, iter_minimal
 
 FIG_CNF = "p mcnf 4 3\n1 2 0\n2 3 0\n1 4 0\n"  # (A|B)(B|C)(A|D)
 
@@ -32,6 +36,19 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def solve_capped(argv, limit, timeout=60):
+    """``minfault solve`` in a subprocess whose address space is capped at ``limit`` bytes."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "minfault.cli", "solve", *argv],
+        capture_output=True, text=True, timeout=timeout, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
 
 
 def gen_system(tmp_path, capsys, **overrides):
@@ -137,18 +154,92 @@ class TestSolve:
         # does not fit the address-space limit)
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p mcnf 1000000000 1\n1 0\n")
-        limit = 512 * 2**20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "minfault.cli", "solve", "--cnf", str(cnf), "--k", "2"],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-        )
+        proc = solve_capped(["--cnf", str(cnf), "--k", "2"], 512 * 2**20)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == "1\n"
+
+    def test_huge_variable_id(self, tmp_path):
+        # the search runs over dense class indices: a bitmask as wide as
+        # the variable id 10**9 does not fit the address-space limit
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p mcnf 1000000000 1\n1000000000 0\n")
+        proc = solve_capped(["--cnf", str(cnf), "--k", "2"], 128 * 2**20)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "1000000000\n"
+
+    @pytest.mark.parametrize(
+        "cnf, k",
+        [
+            (make_cnf([{0, 2}, {1, 3}], 4), 2),  # interleaved twin classes
+            (make_cnf([{0, 1, 4}, {2, 3, 4}, {5, 6}], 7), 3),  # twins and a single
+            (parse_cnf(FIG_CNF), 2),  # no twins
+            (request_cnf(2, 50, 2), 4),  # 185,761 lines, several chunks
+            (make_cnf([], 3), 1),  # the empty formula: "0"
+            (make_cnf([{0, 1}, {2, 3}, {4, 5}], 6), 2),  # no solution within k
+            (parse_cnf(FIG_CNF), 0),
+        ],
+        ids=["interleaved", "mixed", "twin-free", "request", "empty", "none-within-k", "k0"],
+    )
+    def test_output_is_the_sorted_search(self, tmp_path, capsys, cnf, k):
+        f = tmp_path / "f.cnf"
+        f.write_text(serialize_cnf(cnf))
+        want = "".join(
+            (" ".join(str(v + 1) for v in sol) if sol else "0") + "\n"
+            for sol in sorted(iter_minimal(cnf, SolverConfig(max_size=k)))
+        )
+        code, out, _ = run(["solve", "--cnf", str(f), "--k", str(k)], capsys)
+        assert code == EXIT_OK
+        assert out == want
+        dest = tmp_path / "sols.txt"
+        code, out, _ = run(["solve", "--cnf", str(f), "--k", str(k), "--out", str(dest)], capsys)
+        assert code == EXIT_OK
+        assert out == ""
+        assert dest.read_bytes() == want.encode()
+        manifest = json.loads((tmp_path / "sols.txt.manifest.json").read_text())
+        assert manifest["outputs"] == {str(dest): hashlib.sha256(want.encode()).hexdigest()}
+        assert not (tmp_path / "sols.txt.tmp").exists()
+
+    def test_failure_mid_stream_leaves_no_output(self, tmp_path, monkeypatch):
+        f = tmp_path / "f.cnf"
+        f.write_text(serialize_cnf(request_cnf(2, 50, 2)))
+        dest = tmp_path / "sols.txt"
+        tmp = tmp_path / "sols.txt.tmp"
+        blocks = cli.iter_sorted_blocks
+
+        def failing(cnf, config):
+            for i, block in enumerate(blocks(cnf, config)):
+                if i == 4000:
+                    assert tmp.stat().st_size > 0  # some chunks were written
+                    raise RuntimeError("solver failed")
+                yield block
+
+        monkeypatch.setattr(cli, "iter_sorted_blocks", failing)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            main(["solve", "--cnf", str(f), "--k", "4", "--out", str(dest)])
+        assert not dest.exists()
+        assert not tmp.exists()
+        assert not (tmp_path / "sols.txt.manifest.json").exists()
+
+    def test_output_larger_than_memory_cap(self, tmp_path):
+        # an unshared (2,100,2) request at k=4: classes of 2, 28, 68, 2, 28
+        # and 68 twins give 3,632,836 lines (~50 MB); as a list of tuples
+        # they do not fit the address-space limit
+        f = tmp_path / "f.cnf"
+        f.write_text(serialize_cnf(request_cnf(2, 100, 2)))
+        dest = tmp_path / "sols.txt"
+        proc = solve_capped(
+            ["--cnf", str(f), "--k", "4", "--out", str(dest)], 128 * 2**20, timeout=120
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = 0
+        digest = hashlib.sha256()
+        with open(dest, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                lines += chunk.count(b"\n")
+                digest.update(chunk)
+        assert lines == 28 * 68 * 28 * 68 + 2 * (2 * 28 * 68) + 2 * 2 == 3_632_836
+        manifest = json.loads((tmp_path / "sols.txt.manifest.json").read_text())
+        assert manifest["outputs"] == {str(dest): digest.hexdigest()}
 
 
 class TestInject:
@@ -194,6 +285,17 @@ class TestInject:
             capsys,
         )
         assert code == EXIT_INPUT
+
+    def test_deeply_nested_system_file(self, tmp_path, capsys):
+        system = tmp_path / "sys.json"
+        system.write_text("[" * 100_000)  # past the decoder's recursion limit
+        code, _, err = run(
+            ["inject", "--system", str(system), "--all", "--kmax", "2",
+             "--out-dir", str(tmp_path / "camp")],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert "not valid JSON" in err
 
     def test_single_request(self, tmp_path, capsys):
         system = gen_system(tmp_path, capsys)

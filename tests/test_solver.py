@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monotone_cnfs
+from conftest import monotone_cnfs, request_cnf
 from minfault.campaign import CampaignConfig, run_campaign
 from minfault.cnf import is_satisfied, make_cnf
 from minfault.errors import FormulaTooLargeError, ParameterError
@@ -20,6 +20,7 @@ from minfault.solver import (
     enumerate_minimal_with_counters,
     is_minimal,
     iter_minimal,
+    iter_sorted_blocks,
 )
 
 A, B, C, D = 0, 1, 2, 3
@@ -206,12 +207,6 @@ class TestSolverProperties:
         assert dense.expansions < sparse.expansions
 
 
-def request_cnf(group_num, edge_num, bone_num):
-    system = generate_system(GenParams(group_num=group_num, edge_num=edge_num,
-                                       bone_num=bone_num, n_requests=1, seed=1))
-    return make_cnf(system.request(0).paths, system.n_vars)
-
-
 class TestIterMinimal:
     @given(monotone_cnfs(max_vars=9, max_clauses=6), st.integers(min_value=0, max_value=9))
     @settings(max_examples=150)
@@ -256,13 +251,15 @@ def cnfs_with_twins(draw):
     """A random formula plus fresh variables that copy others' occurrences.
 
     The copies get the highest ids, so their twin classes interleave with
-    the others by id.
+    the others by id; then all ids may be permuted, so classes interleave
+    in any pattern.
     """
     cnf = draw(monotone_cnfs(max_vars=7, max_clauses=5))
     originals = draw(st.lists(st.integers(min_value=0, max_value=cnf.n_vars - 1), max_size=6))
     n = cnf.n_vars + len(originals)
+    ids = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
     clauses = [
-        set(c) | {cnf.n_vars + j for j, v in enumerate(originals) if v in c}
+        {ids[v] for v in c} | {ids[cnf.n_vars + j] for j, v in enumerate(originals) if v in c}
         for c in cnf.clauses
     ]
     return make_cnf(clauses, n)
@@ -305,3 +302,40 @@ class TestTwinClasses:
     @settings(max_examples=200)
     def test_forced_twins_match_oracle(self, cnf, k):
         assert enumerate_minimal(cnf, SolverConfig(max_size=k)) == brute_force_minimal(cnf, k)
+
+    @given(cnfs_with_twins(), st.integers(min_value=0, max_value=8), st.sampled_from([1, 1000]))
+    @settings(max_examples=300)
+    def test_blocks_flatten_to_sorted_search(self, cnf, k, spread):
+        # spread 1000 leaves gaps between ids, which the dense class
+        # indices must close without changing the order
+        cnf = make_cnf([{v * spread for v in c} for c in cnf.clauses], cnf.n_vars * spread)
+        cfg = SolverConfig(max_size=k)
+        blocks = list(iter_sorted_blocks(cnf, cfg))
+        flat = []
+        for prefix, lasts in blocks:
+            if lasts is None:
+                assert cnf.m == 0 and prefix == ()
+                flat.append(prefix)
+                continue
+            assert len(lasts) > 0
+            flat.extend(prefix + (x,) for x in lasts)
+        assert flat == sorted(iter_minimal(cnf, cfg))
+
+    def test_blocks_share_prefixes(self):
+        # (2,50,2) at k=4: 185,761 sets from 4 class-level sets; a block
+        # per prefix, not per set
+        cnf = request_cnf(2, 50, 2)
+        blocks = list(iter_sorted_blocks(cnf, SolverConfig(max_size=4)))
+        assert sum(len(lasts) for _, lasts in blocks) == 185_761
+        assert len(blocks) < 10_000
+
+    def test_interleaved_blocks_split(self):
+        # classes {0, 2} and {1, 3}: prefix (0,) continues with 1 and 3,
+        # prefix (1,) with 2 only, since class {0, 2} needs a member above 1
+        cnf = make_cnf([{0, 2}, {1, 3}], 4)
+        assert list(iter_sorted_blocks(cnf, SolverConfig(max_size=2))) == [
+            ((0,), [1, 3]), ((1,), [2]), ((2,), [3]),
+        ]
+
+    def test_empty_formula_block(self):
+        assert list(iter_sorted_blocks(make_cnf([], 3), SolverConfig(max_size=0))) == [((), None)]
