@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .campaign import (
     CampaignConfig,
     CampaignResult,
-    InjectionHistory,
     is_subsumed,
     run_campaign,
     run_campaign_static,
@@ -65,7 +64,6 @@ __all__ = [
     "GenParams",
     "HardeningInstance",
     "HardeningPlan",
-    "InjectionHistory",
     "MonotoneCnf",
     "SimulatedSystem",
     "SolverConfig",

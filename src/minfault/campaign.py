@@ -42,28 +42,6 @@ class InjectionRecord:
     formula_m: int  # clause count of the formula when this fault was injected
 
 
-class InjectionHistory:
-    """Append-only record of attempted fault sets and their outcomes."""
-
-    def __init__(self):
-        self._outcomes: dict[frozenset[int], bool] = {}
-
-    def record(self, fault, failed: bool) -> None:
-        fs = frozenset(fault)
-        if fs in self._outcomes:
-            raise MinfaultError(f"fault {sorted(fs)} recorded twice")
-        self._outcomes[fs] = failed
-
-    def __contains__(self, fault) -> bool:
-        return frozenset(fault) in self._outcomes
-
-    def __len__(self) -> int:
-        return len(self._outcomes)
-
-    def outcome(self, fault) -> bool:
-        return self._outcomes[frozenset(fault)]
-
-
 @dataclass
 class PhaseTimings:
     solve_ms: float = 0.0
@@ -82,7 +60,6 @@ class CampaignResult:
     final_cnf: MonotoneCnf
     final_k: int
     wall_times: PhaseTimings
-    history: InjectionHistory
     injection_log: tuple[InjectionRecord, ...]
 
 
@@ -128,7 +105,7 @@ def _drive(
 
     k = k_start
     valid: list[tuple[int, ...]] = []
-    history = InjectionHistory()
+    injected: set[tuple[int, ...]] = set()  # candidates are ascending tuples
     log: list[InjectionRecord] = []
     injections = 0
     solver_calls = 0
@@ -153,14 +130,14 @@ def _drive(
                 break
             # a valid fault hits every real path, so it satisfies every
             # later formula: a minimal candidate containing it equals it
-            if cand in history:
+            if cand in injected:
                 continue
             t0 = time.perf_counter()
             outcome = execute(system, request_id, cand)
             inject_s += time.perf_counter() - t0
             injections += 1
             log.append(InjectionRecord(cand, outcome.failed, phi.m))
-            history.record(cand, outcome.failed)
+            injected.add(cand)
             if outcome.failed:
                 valid.append(cand)
             else:
@@ -195,6 +172,5 @@ def _drive(
         final_cnf=phi,
         final_k=k,
         wall_times=timings,
-        history=history,
         injection_log=tuple(log),
     )

@@ -13,7 +13,11 @@ extended greedily and the plan is flagged approximate.
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
 set when clause instance i contains it.  Instances are numbered across
 requests, so a fault shared by two requests counts twice.  A sweep builds
-each side's index once and every budget level reuses it.
+each side's index once and every budget level reuses it.  It also runs
+one hard-cover search: levels are computed from the largest budget down,
+and the minimal covers within a smaller budget are the first search's
+covers of that size or less.  The greedy is lazy (Minoux, 1978), with the
+same picks and ties as a full rescan at every pick.
 
 The sweep's residual-failure metric (AFVR) applies the execution rule of
 :func:`minfault.simulation.execute` with bitmasks over each request's
@@ -24,6 +28,7 @@ one of its non-immune variables.
 from __future__ import annotations
 
 import functools
+import heapq
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -175,15 +180,49 @@ def _max_coverage_exact(candidates, cand_masks, limit):
 
 
 def _greedy_cover(masks: Mapping[int, int], uncovered: int, budget_left: int) -> list[int]:
-    """Max-marginal-gain picks over the ``uncovered`` clause bits, ties by id."""
+    """Max-marginal-gain picks over the ``uncovered`` clause bits, ties by id.
+
+    Lazy greedy: the heap holds ``(-gain, v)`` keys from earlier rounds.
+    Gains only shrink, so a stale key never sorts after its fresh one; a
+    top whose fresh key still sorts first is the full scan's pick.
+    """
+    # a variable with no gain now never gains later
+    heap = [(-(m & uncovered).bit_count(), v) for v, m in masks.items() if m & uncovered]
+    heapq.heapify(heap)
     picks = []
     while budget_left > 0 and uncovered:
-        # clauses are non-empty, so some variable hits an uncovered bit
-        _, v = min((-(m & uncovered).bit_count(), v) for v, m in masks.items())
+        # clauses are non-empty, so some variable left in the heap still
+        # hits an uncovered bit
+        _, v = heapq.heappop(heap)
+        key = (-(masks[v] & uncovered).bit_count(), v)
+        while heap and key > heap[0]:
+            _, v = heapq.heapreplace(heap, key)
+            key = (-(masks[v] & uncovered).bit_count(), v)
         picks.append(v)
         uncovered &= ~masks[v]
         budget_left -= 1
     return picks
+
+
+# ((hard, n_vars), budget, covers) of the last cover search
+_cover_memo: tuple | None = None
+
+
+def _hard_covers(instance: HardeningInstance) -> list[tuple[int, ...]]:
+    """Minimal hard covers within the budget, in lexicographic order.
+
+    A call whose budget is within the last search's, on equal hard
+    formulas, filters that search's covers by size instead of searching:
+    minimality does not depend on the bound, so the list is the same.
+    """
+    global _cover_memo
+    key = (instance.hard, instance.n_vars)
+    if _cover_memo is None or _cover_memo[0] != key or instance.budget > _cover_memo[1]:
+        hard_cnf = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
+        covers = enumerate_minimal(hard_cnf, SolverConfig(max_size=instance.budget))
+        _cover_memo = (key, instance.budget, tuple(covers))
+    # a fresh list, so no caller can alter the memo
+    return [c for c in _cover_memo[2] if len(c) <= instance.budget]
 
 
 def optimize(instance: HardeningInstance) -> HardeningPlan:
@@ -194,12 +233,16 @@ def optimize(instance: HardeningInstance) -> HardeningPlan:
     optimal selection contains some minimal cover of the hard clauses.
     Above the size limits, the densest-coverage cover is frozen and the
     residual budget is spent greedily, flagged via ``exact=False``.
+
+    The covers come from one search per hard side: a call with a budget
+    no larger than the previous search's, on equal hard formulas, reuses
+    that search's covers, so a sweep from the largest budget down runs
+    one search.
     """
     hard, soft = _masks(instance.hard), _masks(instance.soft)
     soft_masks, n_soft = soft
-    hard_cnf = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
 
-    covers = enumerate_minimal(hard_cnf, SolverConfig(max_size=instance.budget))
+    covers = _hard_covers(instance)
     if not covers:
         raise InfeasibleBudgetError(
             f"hard clauses unsatisfiable within budget {instance.budget}"
@@ -260,6 +303,10 @@ def budget_sweep(
 ) -> BudgetSweep:
     """Evaluate selection plans across increasing budgets.
 
+    Plans are computed from the largest budget down, so the exact method
+    runs one hard-cover search per sweep (see :func:`optimize`); the
+    levels are then assembled in increasing order.
+
     Coverage metrics come from the plans.  The residual-validity metric
     (AFVR) is the mean over requests of the share of known faults that
     still fail with the selected APIs immune, decided by ``execute``'s
@@ -267,9 +314,10 @@ def budget_sweep(
     request holds one of its non-immune variables.  The rule needs no
     property of the faults: they may be non-minimal, non-failing or
     repeated.  Requests with no known faults contribute neither clauses
-    nor an averaging term.  Marginal gain is undefined at the first
-    level and is taken against the last feasible level when an
-    infeasible one sits in between.
+    nor an averaging term, but their ids must still name requests of the
+    system.  Marginal gain is undefined at the first level and is taken
+    against the last feasible level when an infeasible one sits in
+    between.
     """
     if method not in ("exact", "greedy"):
         raise ParameterError(f"method must be 'exact' or 'greedy', got {method!r}")
@@ -279,7 +327,7 @@ def budget_sweep(
         raise ParameterError("budgets must be non-negative")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ParameterError("budgets must be strictly increasing")
-    for rid in high_priority:
+    for rid in [*high_priority, *faults_by_request]:
         system.request(rid)  # raises UnknownRequestError
 
     active = {
@@ -296,32 +344,33 @@ def budget_sweep(
         for rid, faults in active.items()
         if rid not in high
     )
-    path_holders = None  # rid -> _path_holders(paths, faults), built at the first feasible level
 
-    levels: list[SweepLevel] = []
-    prev: tuple[int, int] | None = None  # (budget, soft_covered) of last feasible level
-    for b in budgets:
+    # largest budget first: optimize's one cover search serves every level
+    plans: dict[int, HardeningPlan | None] = {}
+    for b in reversed(budgets):
         instance = HardeningInstance(hard=hard, soft=soft, budget=b, n_vars=system.n_vars)
         if method == "exact":
             try:
-                plan = optimize(instance)
+                plans[b] = optimize(instance)
             except InfeasibleBudgetError:
-                plan = None
+                plans[b] = None
         else:
             plan = greedy_baseline(instance)
-            if not plan.feasible:
-                plan = None
+            plans[b] = plan if plan.feasible else None
+
+    path_holders = {
+        rid: _path_holders(system.request(rid).paths, faults) for rid, faults in active.items()
+    }
+    levels: list[SweepLevel] = []
+    prev: tuple[int, int] | None = None  # (budget, soft_covered) of last feasible level
+    for b in budgets:
+        plan = plans[b]
         if plan is None:
             levels.append(SweepLevel(budget=b, plan=None, cr=None, mcg=None, afvr=None, feasible=False))
             continue
         mcg = None
         if prev is not None:
             mcg = (plan.soft_covered - prev[1]) / (b - prev[0])
-        if path_holders is None:
-            path_holders = {
-                rid: _path_holders(system.request(rid).paths, faults)
-                for rid, faults in active.items()
-            }
         immune = frozenset(plan.selected)
         fractions = []
         for rid, faults in active.items():

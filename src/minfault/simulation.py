@@ -239,7 +239,8 @@ def execute(
     for v in effective:
         if v < 0 or v >= system.n_vars:
             raise VariableRangeError(f"injected variable {v} out of range for universe of {system.n_vars}")
-    effective -= set(immune)
+    if immune:
+        effective.difference_update(immune)
     for path in req.paths:
         if not path & effective:
             return ExecutionOutcome(failed=False, observed_path=path)

@@ -8,13 +8,12 @@ import minfault.campaign
 from conftest import compact_cnf, globalize
 from minfault.campaign import (
     CampaignConfig,
-    InjectionHistory,
     is_subsumed,
     run_campaign,
     run_campaign_static,
 )
 from minfault.cnf import is_satisfied, make_cnf
-from minfault.errors import MinfaultError, ParameterError, UnknownRequestError
+from minfault.errors import ParameterError, UnknownRequestError
 from minfault.simulation import GenParams, execute, generate_system, ground_truth_paths
 from minfault.solver import brute_force_minimal
 from test_simulation import tiny_system
@@ -40,18 +39,21 @@ class TestIsSubsumed:
 
 
 class TestInjectionHistory:
-    def test_record_and_lookup(self):
-        h = InjectionHistory()
-        h.record({1, 0}, True)
-        assert (0, 1) in h
-        assert h.outcome([0, 1]) is True
-        assert len(h) == 1
+    """``injection_log`` is the campaign's history of attempted faults."""
 
-    def test_append_only(self):
-        h = InjectionHistory()
-        h.record({0}, False)
-        with pytest.raises(MinfaultError):
-            h.record({0}, True)
+    def test_record_and_lookup(self, campaign):
+        # each logged outcome is the one ``execute`` gives for that fault
+        system, res = campaign
+        for run in (res, run_campaign_static(system, 0, 3)):
+            for rec in run.injection_log:
+                assert rec.failed == execute(system, 0, set(rec.fault)).failed
+
+    def test_append_only(self, campaign):
+        # later searches yield known valid faults again; none is re-injected
+        system, res = campaign
+        for run in (res, run_campaign_static(system, 0, 3)):
+            faults = [rec.fault for rec in run.injection_log]
+            assert len(set(faults)) == len(faults) == run.injections
 
 
 class TestRunCampaign:
@@ -146,10 +148,8 @@ class TestCampaignProperties:
 
     def test_history_covers_all_injections(self, campaign):
         _, res = campaign
-        assert len(res.history) == res.injections
-        for rec in res.injection_log:
-            assert rec.fault in res.history
-            assert res.history.outcome(rec.fault) == rec.failed
+        assert len(res.injection_log) == res.injections
+        assert [rec.fault for rec in res.injection_log if rec.failed] == list(res.valid_faults)
 
 
 class TestStaticBaseline:

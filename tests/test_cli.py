@@ -470,6 +470,23 @@ class TestHardenInputs:
         assert code == EXIT_INPUT
         assert "request_9.json: a second campaign result for request 0" in err
 
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    @pytest.mark.parametrize("budgets", ["0", "0,8"])
+    def test_request_missing_from_system(self, tmp_path, campaign_docs, capsys, budgets, method):
+        # found before any level is solved, whether or not one is feasible
+        system, docs = campaign_docs
+        extra = dict(docs["request_0.json"], request_id=7)
+        write_campaign(tmp_path / "camp", dict(docs, **{"request_7.json": extra}))
+        code, _, err = run(
+            ["harden", "--system", str(system), "--campaign-dir", str(tmp_path / "camp"),
+             "--high", "auto-topfreq:1", "--budgets", budgets, "--method", method,
+             "--out", str(tmp_path / "p.json")],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert "no request with id 7" in err
+        assert sorted(os.listdir(tmp_path)) == ["camp"]
+
     def test_deeply_nested_document(self, tmp_path, campaign_docs, capsys):
         system, docs = campaign_docs
         write_campaign(tmp_path / "camp", docs)

@@ -5,8 +5,14 @@ import random
 
 import pytest
 
+import minfault.hardening as hardening
 from minfault.campaign import CampaignConfig, run_campaign
-from minfault.errors import InfeasibleBudgetError, ParameterError, UnknownRequestError
+from minfault.errors import (
+    InfeasibleBudgetError,
+    ParameterError,
+    UnknownRequestError,
+    VariableRangeError,
+)
 from minfault.hardening import (
     BudgetSweep,
     HardeningInstance,
@@ -419,3 +425,188 @@ class TestAfvrOracle:
         assert 0 < len(fails) < sum(map(len, faults.values()))
         assert any(execute(system, rid, set(f[1:])).failed for rid, f in fails)  # non-minimal
         assert_afvr_matches_reinjection(system, faults, [1], [2, 4, 6, 9, 14, 20])
+
+
+def min_scan_greedy(masks, uncovered, budget):
+    """The plain greedy: rescan every variable's gain at every pick."""
+    picks = []
+    while budget > 0 and uncovered:
+        _, v = min((-(m & uncovered).bit_count(), v) for v, m in masks.items())
+        picks.append(v)
+        uncovered &= ~masks[v]
+        budget -= 1
+    return picks
+
+
+def twin_instance(rng, budget):
+    """Random instance built from groups of variables that always occur
+    together, so many variables have equal masks and gains tie."""
+    ids = rng.sample(range(60), 40)
+    groups = [ids[i:i + rng.randint(1, 4)] for i in range(0, 40, 4)]
+    mk = lambda gs: frozenset().union(*rng.sample(gs, rng.randint(1, 2)))
+    pool = [mk(groups) for _ in range(4)]
+    hard = [[mk(groups[:3]) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 2))]
+    # past 64 soft clause instances, so optimize takes its approximate path
+    soft = [rng.sample(pool, 2) + [mk(groups) for _ in range(rng.randint(16, 24))]
+            for _ in range(5)]
+    return instance(hard, soft, budget, 60)
+
+
+class TestLazyGreedy:
+    """The lazy greedy picks what the plain greedy picks, ties included."""
+
+    def test_matches_min_scan(self):
+        rng = random.Random(0x1A2)
+        for trial in range(3000):
+            n_bits = rng.randint(1, 40)
+            pool = [rng.getrandbits(n_bits) for _ in range(rng.randint(1, 4))]
+            masks = {
+                v: rng.choice(pool) if rng.random() < 0.7 else rng.getrandbits(n_bits)
+                for v in rng.sample(range(200), rng.randint(1, 60))
+            }
+            union = 0
+            for m in masks.values():
+                union |= m
+            uncovered = union & rng.choice([-1, rng.getrandbits(n_bits)])
+            budget = rng.randint(0, len(masks) + 3)  # often past full coverage
+            want = min_scan_greedy(masks, uncovered, budget)
+            assert hardening._greedy_cover(masks, uncovered, budget) == want, f"trial {trial}"
+
+    def test_tied_instances_match_set_reference(self):
+        rng = random.Random(0x7135)
+        infeasible = 0
+        for trial in range(150):
+            inst = twin_instance(rng, budget=rng.randint(0, 45))
+            hard_clauses, soft_clauses = clause_lists(inst)
+            # greedy_baseline: the hard phase, then the soft phase
+            picks = reference_greedy(hard_clauses, (), inst.budget)
+            feasible = all(c & set(picks) for c in hard_clauses)
+            if feasible:
+                picks += reference_greedy(soft_clauses, picks, inst.budget - len(picks))
+            infeasible += not feasible
+            assert greedy_baseline(inst).selected == tuple(sorted(picks)), f"trial {trial}"
+            # optimize's approximate path: the best hard cover, extended greedily
+            covers = reference_covers(hard_clauses, inst.budget)
+            if not covers:
+                continue
+            plan = optimize(inst)
+            assert not plan.exact
+            best = max(covers, key=lambda c: soft_count(soft_clauses, c))
+            want = best + tuple(reference_greedy(soft_clauses, best, inst.budget - len(best)))
+            assert plan.selected == tuple(sorted(want)), f"trial {trial}"
+        assert infeasible > 0
+
+
+def sweep_sides(system, faults, high):
+    """The hard and soft formulas ``budget_sweep`` builds."""
+    active = {rid: f for rid, f in sorted(faults.items()) if f}
+    side = lambda is_high: tuple(
+        (rid, build_request_cnf(f, system.n_vars)) for rid, f in active.items() if (rid in high) == is_high
+    )
+    return side(True), side(False)
+
+
+def fresh_plan(monkeypatch, inst, method):
+    """One level's plan with the cover memo cleared; None when infeasible."""
+    monkeypatch.setattr(hardening, "_cover_memo", None)
+    if method == "greedy":
+        plan = greedy_baseline(inst)
+        return plan if plan.feasible else None
+    try:
+        return optimize(inst)
+    except InfeasibleBudgetError:
+        return None
+
+
+def fresh_sweep(monkeypatch, system, faults, high, budgets, method):
+    hard, soft = sweep_sides(system, faults, high)
+    return [
+        fresh_plan(monkeypatch, HardeningInstance(hard, soft, b, system.n_vars), method)
+        for b in budgets
+    ]
+
+
+def sweep_plans(system, faults, high, budgets, method):
+    return [lv.plan for lv in budget_sweep(system, faults, high, budgets, method=method).levels]
+
+
+class TestSweepReuse:
+    """A sweep's one cover search gives what fresh per-level calls give."""
+
+    def test_sweep_equals_fresh_levels(self, monkeypatch):
+        seen = set()
+        budgets = [0, 1, 2, 3, 5, 8]
+        for g, e, b, n, share in [(2, 9, 2, 4, 0.5), (2, 20, 3, 6, 0.3)]:
+            for seed in (1, 2):
+                system = generate_system(GenParams(
+                    group_num=g, edge_num=e, bone_num=b, n_requests=n, shared_api_fraction=share, seed=seed,
+                ))
+                faults = {
+                    r.request_id: run_campaign(system, CampaignConfig(request_id=r.request_id, k_max=2)).valid_faults
+                    for r in system.requests
+                }
+                for high in ([], [0], [0, 2]):
+                    for method in ("exact", "greedy"):
+                        monkeypatch.setattr(hardening, "_cover_memo", None)
+                        got = sweep_plans(system, faults, high, budgets, method)
+                        assert got == fresh_sweep(monkeypatch, system, faults, high, budgets, method)
+                        seen |= {"empty hard" if not high else "hard"}
+                        seen |= {"infeasible" if p is None else "exact" if p.exact else "approx" for p in got}
+        assert seen == {"empty hard", "hard", "infeasible", "exact", "approx"}
+
+    def test_one_cover_search_per_exact_sweep(self, monkeypatch):
+        searches = 0
+        search = hardening.enumerate_minimal
+
+        def counting(*args, **kwargs):
+            nonlocal searches
+            searches += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(hardening, "enumerate_minimal", counting)
+        system, faults, high = _sweep_inputs()
+        for budgets in ([2, 4, 6, 8], [0, 1, 3], [0], [5, system.n_vars]):
+            monkeypatch.setattr(hardening, "_cover_memo", None)
+            searches = 0
+            budget_sweep(system, faults, high, budgets)
+            assert searches == 1, budgets
+        searches = 0
+        budget_sweep(system, faults, high, [2, 4, 6, 8], method="greedy")
+        assert searches == 0
+
+    def test_interleaved_calls_never_reuse_stale_covers(self, monkeypatch):
+        rng = random.Random(0x5EED)
+        systems = [_sweep_inputs(seed) for seed in (29, 30)]
+        shared = [shared_instance(rng, n_vars=12, hard_vars=8, n_hard=2, n_soft=2, budget=0)
+                  for _ in range(3)]
+        # the first instance's hard side over a smaller universe than its variables need
+        narrow = max(v for _, cnf in shared[0].hard for v in cnf.variables())
+        calls = []
+        for _ in range(60):
+            kind = rng.randrange(3)
+            if kind == 0:
+                system, faults, high = rng.choice(systems)
+                budgets = sorted(rng.sample(range(10), rng.randint(1, 4)))
+                calls.append(("sweep", system, faults, high, budgets, rng.choice(["exact", "greedy"])))
+            else:
+                inst = rng.choice(shared)
+                n_vars = narrow if kind == 2 and inst is shared[0] else inst.n_vars
+                calls.append(("optimize", HardeningInstance(inst.hard, inst.soft, rng.randint(0, 8), n_vars)))
+
+        def outcome(call, fresh):
+            if call[0] == "sweep":
+                if fresh:
+                    return fresh_sweep(monkeypatch, *call[1:])
+                return sweep_plans(*call[1:])
+            if fresh:
+                monkeypatch.setattr(hardening, "_cover_memo", None)
+            try:
+                return optimize(call[1])
+            except (InfeasibleBudgetError, VariableRangeError) as exc:
+                return type(exc)
+
+        want = [outcome(call, fresh=True) for call in calls]
+        assert VariableRangeError in want and InfeasibleBudgetError in want
+        monkeypatch.setattr(hardening, "_cover_memo", None)
+        for i, call in enumerate(calls):
+            assert outcome(call, fresh=False) == want[i], f"call {i}"
