@@ -381,9 +381,10 @@ def _parse_high(spec: str, system) -> list[int]:
         ranked = sorted(system.request_frequency, key=lambda p: (-p[1], p[0]))
         return [rid for rid, _ in ranked[:n]]
     try:
-        return [int(tok) for tok in spec.split(",") if tok != ""]
+        ids = [int(tok) for tok in spec.split(",") if tok != ""]
     except ValueError:
         raise UsageError(f"bad --high value {spec!r}") from None
+    return list(dict.fromkeys(ids))
 
 
 def cmd_harden(args) -> int:

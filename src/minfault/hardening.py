@@ -4,20 +4,21 @@ Each discovered fault becomes a positive clause (harden at least one of
 its APIs); high-priority requests contribute hard clauses that must all
 be covered, low-priority requests contribute soft clauses whose covered
 count is maximized.  Selection is two-stage: enumerate the minimal hard
-covers within budget, then spend each cover's residual budget on the
-remaining soft clauses.  On small instances the extension is an exact
-branch and bound evaluated for every cover, which makes the combined
-result globally optimal; above the size limits a single best cover is
-extended greedily and the plan is flagged approximate.
+covers within budget, extend each cover with the residual budget over the
+remaining soft clauses, and keep the plan covering the most soft clauses,
+ties to the lexicographically smallest selection.  On small instances the
+extension is an exact branch and bound, which makes the result optimal
+over all selections; above the size limits it is the greedy, as in
+Khuller, Moss & Naor's seeded scheme for budgeted maximum coverage
+(1999), and the plan is flagged approximate.
 
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
 set when clause instance i contains it.  Instances are numbered across
 requests, so a fault shared by two requests counts twice.  A sweep builds
-each side's index once and every budget level reuses it.  It also runs
-one hard-cover search: levels are computed from the largest budget down,
-and the minimal covers within a smaller budget are the first search's
-covers of that size or less.  The greedy is lazy (Minoux, 1978), with the
-same picks and ties as a full rescan at every pick.
+each side's index once and runs one hard-cover search, at its largest
+budget; each level takes that search's covers of its size or less, which
+are exactly its own minimal covers.  The greedy is lazy (Minoux, 1978),
+with the same picks and ties as a full rescan at every pick.
 
 The sweep's residual-failure metric (AFVR) applies the execution rule of
 :func:`minfault.simulation.execute` with bitmasks over each request's
@@ -27,11 +28,9 @@ one of its non-immune variables.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .cnf import MonotoneCnf, make_cnf
 from .errors import InfeasibleBudgetError, ParameterError
@@ -88,14 +87,11 @@ def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
     return make_cnf([frozenset(f) for f in valid_faults], n_vars)
 
 
-@functools.lru_cache(maxsize=2)
-def _masks(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[Mapping[int, int], int]:
+def _index(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[dict[int, int], int]:
     """Index clauses as ``(var -> clause bitmask, clause count)``.
 
     Clause instances are numbered across the formulas in order, one bit
-    each, so a clause shared by two requests counts twice.  A sweep
-    passes the same hard and soft tuples to every level, so the last two
-    indexes are kept; the mapping is read-only because callers share it.
+    each, so a clause shared by two requests counts twice.
     """
     masks: dict[int, int] = {}
     n = 0
@@ -105,7 +101,7 @@ def _masks(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[Mapping[int, 
             for v in c:
                 masks[v] = masks.get(v, 0) | bit
             n += 1
-    return MappingProxyType(masks), n
+    return masks, n
 
 
 def _path_holders(paths, faults) -> list[list[tuple[int, int]]]:
@@ -204,76 +200,80 @@ def _greedy_cover(masks: Mapping[int, int], uncovered: int, budget_left: int) ->
     return picks
 
 
-# ((hard, n_vars), budget, covers) of the last cover search
-_cover_memo: tuple | None = None
+def _hard_covers(hard, n_vars: int, budget: int) -> list[tuple[int, ...]]:
+    """Minimal hard covers within ``budget``, in lexicographic order."""
+    hard_cnf = make_cnf([c for _, cnf in hard for c in cnf.clauses], n_vars)
+    return enumerate_minimal(hard_cnf, SolverConfig(max_size=budget))
 
 
-def _hard_covers(instance: HardeningInstance) -> list[tuple[int, ...]]:
-    """Minimal hard covers within the budget, in lexicographic order.
+def _best_plan(hard, soft, covers, budget: int) -> HardeningPlan | None:
+    """Extend each of ``covers`` that fits ``budget``; None when none fits.
 
-    A call whose budget is within the last search's, on equal hard
-    formulas, filters that search's covers by size instead of searching:
-    minimality does not depend on the bound, so the list is the same.
+    Each cover's residual budget goes to the soft clauses it leaves
+    uncovered: exactly on small instances, greedily above the size limits
+    (flagged via ``exact=False``).  The plan covering the most soft
+    clauses wins, ties to the lexicographically smallest selection.
     """
-    global _cover_memo
-    key = (instance.hard, instance.n_vars)
-    if _cover_memo is None or _cover_memo[0] != key or instance.budget > _cover_memo[1]:
-        hard_cnf = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
-        covers = enumerate_minimal(hard_cnf, SolverConfig(max_size=instance.budget))
-        _cover_memo = (key, instance.budget, tuple(covers))
-    # a fresh list, so no caller can alter the memo
-    return [c for c in _cover_memo[2] if len(c) <= instance.budget]
+    covers = [c for c in covers if len(c) <= budget]
+    if not covers:
+        return None
+    soft_masks, n_soft = soft
+    exact = (
+        len(soft_masks) <= _EXACT_MAX_CANDIDATES
+        and n_soft <= _EXACT_MAX_CLAUSES
+        and len(covers) <= _EXACT_MAX_COVERS
+    )
+    best_sel: tuple[int, ...] | None = None
+    best_cov = -1
+    for cover in covers:
+        uncovered = _uncovered(soft, cover)
+        residual = budget - len(cover)
+        sel = cover
+        if residual > 0 and uncovered:
+            if exact:
+                # one candidate per variable still hitting an uncovered clause
+                candidates = sorted(v for v, m in soft_masks.items() if m & uncovered)
+                cand_masks = [soft_masks[v] & uncovered for v in candidates]
+                picks = _max_coverage_exact(candidates, cand_masks, residual)
+            else:
+                picks = _greedy_cover(soft_masks, uncovered, residual)
+            sel = tuple(sorted([*cover, *picks]))
+        cov = n_soft - _uncovered(soft, sel).bit_count()
+        if cov > best_cov or (cov == best_cov and sel < best_sel):
+            best_cov, best_sel = cov, sel
+    return _plan(best_sel, hard, soft, feasible=True, exact=exact)
+
+
+def _greedy_plan(hard, soft, budget: int) -> HardeningPlan:
+    """Greedy over the hard clauses, then over the soft ones with what is left."""
+    picks = _greedy_cover(hard[0], _uncovered(hard, ()), budget)
+    budget_left = budget - len(picks)
+    hard_ok = not _uncovered(hard, picks)
+
+    if hard_ok and budget_left > 0:
+        picks += _greedy_cover(soft[0], _uncovered(soft, picks), budget_left)
+
+    return _plan(picks, hard, soft, feasible=hard_ok, exact=False)
 
 
 def optimize(instance: HardeningInstance) -> HardeningPlan:
     """Two-stage selection; raises when the hard side cannot fit the budget.
 
-    On small instances the exact stage-2 extension is evaluated for every
-    minimal hard cover, which makes the result globally optimal: any
-    optimal selection contains some minimal cover of the hard clauses.
-    Above the size limits, the densest-coverage cover is frozen and the
-    residual budget is spent greedily, flagged via ``exact=False``.
-
-    The covers come from one search per hard side: a call with a budget
-    no larger than the previous search's, on equal hard formulas, reuses
-    that search's covers, so a sweep from the largest budget down runs
-    one search.
+    Every minimal hard cover within the budget is extended and the best
+    plan is kept (see :func:`_best_plan`).  On small instances the
+    extension is exact, which makes the result optimal over all
+    selections: any optimal selection contains some minimal cover of the
+    hard clauses.
+    Above the size limits each cover is extended greedily and the plan is
+    flagged via ``exact=False``.
     """
-    hard, soft = _masks(instance.hard), _masks(instance.soft)
-    soft_masks, n_soft = soft
-
-    covers = _hard_covers(instance)
-    if not covers:
+    covers = _hard_covers(instance.hard, instance.n_vars, instance.budget)
+    plan = _best_plan(_index(instance.hard), _index(instance.soft), covers, instance.budget)
+    if plan is None:
         raise InfeasibleBudgetError(
             f"hard clauses unsatisfiable within budget {instance.budget}"
         )
-    exact_mode = (
-        len(soft_masks) <= _EXACT_MAX_CANDIDATES
-        and n_soft <= _EXACT_MAX_CLAUSES
-        and len(covers) <= _EXACT_MAX_COVERS
-    )
-
-    if exact_mode:
-        best_sel: tuple[int, ...] | None = None
-        best_cov = -1
-        for cover in covers:
-            uncovered = _uncovered(soft, cover)
-            residual = instance.budget - len(cover)
-            sel = cover
-            if residual > 0 and uncovered:
-                # one candidate per variable still hitting an uncovered clause
-                candidates = sorted(v for v, m in soft_masks.items() if m & uncovered)
-                cand_masks = [soft_masks[v] & uncovered for v in candidates]
-                sel = tuple(sorted(cover + _max_coverage_exact(candidates, cand_masks, residual)))
-            cov = n_soft - _uncovered(soft, sel).bit_count()
-            if cov > best_cov or (cov == best_cov and sel < best_sel):
-                best_cov, best_sel = cov, sel
-        return _plan(best_sel, hard, soft, feasible=True, exact=True)
-
-    # approximate path: freeze the best-covering minimal cover, extend greedily
-    best = min(covers, key=lambda s: _uncovered(soft, s).bit_count())
-    picks = _greedy_cover(soft_masks, _uncovered(soft, best), instance.budget - len(best))
-    return _plan(best + tuple(picks), hard, soft, feasible=True, exact=False)
+    return plan
 
 
 def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
@@ -282,16 +282,7 @@ def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
     Never raises on a too-small budget; the returned plan carries
     ``feasible=False`` when the hard side could not be fully covered.
     """
-    hard, soft = _masks(instance.hard), _masks(instance.soft)
-
-    picks = _greedy_cover(hard[0], _uncovered(hard, ()), instance.budget)
-    budget_left = instance.budget - len(picks)
-    hard_ok = not _uncovered(hard, picks)
-
-    if hard_ok and budget_left > 0:
-        picks += _greedy_cover(soft[0], _uncovered(soft, picks), budget_left)
-
-    return _plan(picks, hard, soft, feasible=hard_ok, exact=False)
+    return _greedy_plan(_index(instance.hard), _index(instance.soft), instance.budget)
 
 
 def budget_sweep(
@@ -303,9 +294,9 @@ def budget_sweep(
 ) -> BudgetSweep:
     """Evaluate selection plans across increasing budgets.
 
-    Plans are computed from the largest budget down, so the exact method
-    runs one hard-cover search per sweep (see :func:`optimize`); the
-    levels are then assembled in increasing order.
+    Both indexes are built once.  The exact method runs one hard-cover
+    search, at the largest budget, and hands each level the covers that
+    fit it; each level's plan follows :func:`optimize`'s rule.
 
     Coverage metrics come from the plans.  The residual-validity metric
     (AFVR) is the mean over requests of the share of known faults that
@@ -345,26 +336,22 @@ def budget_sweep(
         if rid not in high
     )
 
-    # largest budget first: optimize's one cover search serves every level
-    plans: dict[int, HardeningPlan | None] = {}
-    for b in reversed(budgets):
-        instance = HardeningInstance(hard=hard, soft=soft, budget=b, n_vars=system.n_vars)
-        if method == "exact":
-            try:
-                plans[b] = optimize(instance)
-            except InfeasibleBudgetError:
-                plans[b] = None
-        else:
-            plan = greedy_baseline(instance)
-            plans[b] = plan if plan.feasible else None
-
+    hard_index, soft_index = _index(hard), _index(soft)
+    if method == "exact":
+        # the minimal covers within each budget are this search's covers of that size or less
+        covers = _hard_covers(hard, system.n_vars, budgets[-1])
     path_holders = {
         rid: _path_holders(system.request(rid).paths, faults) for rid, faults in active.items()
     }
     levels: list[SweepLevel] = []
     prev: tuple[int, int] | None = None  # (budget, soft_covered) of last feasible level
     for b in budgets:
-        plan = plans[b]
+        if method == "exact":
+            plan = _best_plan(hard_index, soft_index, covers, b)
+        else:
+            plan = _greedy_plan(hard_index, soft_index, b)
+            if not plan.feasible:
+                plan = None
         if plan is None:
             levels.append(SweepLevel(budget=b, plan=None, cr=None, mcg=None, afvr=None, feasible=False))
             continue

@@ -292,7 +292,7 @@ def system_from_json(text: str) -> SimulatedSystem:
         _require(key in doc, key, "missing field")
     _require(doc["format"] == _FORMAT_TAG, "format", f"expected {_FORMAT_TAG!r}")
     n_vars = doc["n_vars"]
-    _require(isinstance(n_vars, int) and n_vars >= 0, "n_vars", "expected a non-negative integer")
+    _require(type(n_vars) is int and n_vars >= 0, "n_vars", "expected a non-negative integer")
 
     sym_raw = doc["symbol_table"]
     _require(isinstance(sym_raw, list), "symbol_table", "expected a list")
@@ -304,6 +304,8 @@ def system_from_json(text: str) -> SimulatedSystem:
         service, api, replica = entry
         _require(isinstance(service, str), f"{field}.service", "expected a string")
         _require(isinstance(api, str), f"{field}.api", "expected a string")
+        # the replica is only copied into output files, so a JSON boolean
+        # stays accepted here; campaign files are tested with such a table
         _require(isinstance(replica, int), f"{field}.replica", "expected an integer")
         symbols.append((service, api, replica))
 
@@ -319,11 +321,11 @@ def system_from_json(text: str) -> SimulatedSystem:
         for key in allowed_req:
             _require(key in entry, f"{field}.{key}", "missing field")
         rid = entry["id"]
-        _require(isinstance(rid, int) and rid >= 0, f"{field}.id", "expected a non-negative integer")
+        _require(type(rid) is int and rid >= 0, f"{field}.id", "expected a non-negative integer")
         _require(rid not in seen_ids, f"{field}.id", "duplicate request id")
         seen_ids.add(rid)
         weight = entry["frequency"]
-        _require(isinstance(weight, int) and weight >= 0, f"{field}.frequency", "expected a non-negative integer")
+        _require(type(weight) is int and weight >= 0, f"{field}.frequency", "expected a non-negative integer")
         paths_raw = entry["paths"]
         _require(isinstance(paths_raw, list) and paths_raw, f"{field}.paths", "expected a non-empty list")
         paths = []
@@ -331,7 +333,7 @@ def system_from_json(text: str) -> SimulatedSystem:
             pf = f"{field}.paths[{j}]"
             _require(isinstance(p, list) and p, pf, "expected a non-empty list of variable ids")
             for v in p:
-                _require(isinstance(v, int) and 0 <= v < n_vars, pf, f"variable id {v!r} out of range")
+                _require(type(v) is int and 0 <= v < n_vars, pf, f"variable id {v!r} out of range")
             fs = frozenset(p)
             _require(len(fs) == len(p), pf, "duplicate variable in path")
             paths.append(fs)
@@ -339,7 +341,7 @@ def system_from_json(text: str) -> SimulatedSystem:
         _require(isinstance(gop, list), f"{field}.group_of_path", "expected a list")
         _require(len(gop) == len(paths), f"{field}.group_of_path", "length must match paths")
         for gv in gop:
-            _require(isinstance(gv, int) and gv >= 0, f"{field}.group_of_path", "expected non-negative integers")
+            _require(type(gv) is int and gv >= 0, f"{field}.group_of_path", "expected non-negative integers")
         requests.append(RequestSpec(request_id=rid, paths=tuple(paths), group_of_path=tuple(gop)))
         freq.append((rid, weight))
 

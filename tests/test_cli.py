@@ -28,6 +28,7 @@ from minfault.cli import (
 from minfault.cnf import compute_stats, make_cnf, parse_cnf, serialize_cnf
 from minfault.simulation import GenParams, generate_system, load_system
 from minfault.solver import SolverConfig, iter_minimal
+from test_simulation import BOOLEAN_FIELDS, boolean_system_file
 
 FIG_CNF = "p mcnf 4 3\n1 2 0\n2 3 0\n1 4 0\n"  # (A|B)(B|C)(A|D)
 
@@ -297,6 +298,18 @@ class TestInject:
         assert code == EXIT_INPUT
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+    def test_boolean_for_integer(self, tmp_path, capsys, field):
+        system = tmp_path / "sys.json"
+        system.write_text(boolean_system_file(field))
+        code, _, err = run(
+            ["inject", "--system", str(system), "--all", "--kmax", "2",
+             "--out-dir", str(tmp_path / "camp")],
+            capsys,
+        )
+        assert code == EXIT_INPUT
+        assert field in err
+
     def test_single_request(self, tmp_path, capsys):
         system = gen_system(tmp_path, capsys)
         out_dir = tmp_path / "one"
@@ -382,6 +395,23 @@ class TestHarden:
         assert code == EXIT_INFEASIBLE
         doc = json.loads(plan.read_text())
         assert all(not lv["feasible"] for lv in doc["levels"])
+
+    def test_duplicate_high_ids_collapse(self, tmp_path, capsys):
+        system = gen_system(tmp_path, capsys)
+        camp = tmp_path / "camp"
+        run(["inject", "--system", str(system), "--all", "--kmax", "2", "--out-dir", str(camp)], capsys)
+        docs = {}
+        for high in ("0", "0,0"):
+            plan = tmp_path / f"plan_{high}.json"
+            code, _, err = run(
+                ["harden", "--system", str(system), "--campaign-dir", str(camp),
+                 "--high", high, "--budgets", "2,4,8", "--out", str(plan)],
+                capsys,
+            )
+            assert code == EXIT_OK, err
+            docs[high] = json.loads(plan.read_text())
+        assert docs["0,0"]["high_priority"] == [0]
+        assert docs["0,0"]["levels"] == docs["0"]["levels"]
 
     def test_decreasing_budgets_usage_error(self, tmp_path, capsys):
         system = gen_system(tmp_path, capsys)

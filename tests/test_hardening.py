@@ -105,6 +105,16 @@ def soft_count(soft_clauses, selected):
     return sum(1 for c in soft_clauses if c & set(selected))
 
 
+def reference_extension(soft_clauses, covers, budget):
+    """Each cover extended by ``reference_greedy``; the most soft coverage
+    wins, ties to the lexicographically smallest selection."""
+    ext = [
+        tuple(sorted(c + tuple(reference_greedy(soft_clauses, c, budget - len(c)))))
+        for c in covers
+    ]
+    return min(ext, key=lambda s: (-soft_count(soft_clauses, s), s))
+
+
 class TestBuildRequestCnf:
     def test_one_clause_per_fault(self):
         cnf = build_request_cnf([{A, B}, {C}], 4)
@@ -163,8 +173,9 @@ class TestOptimize:
         assert len(plan.selected) <= 2
 
     def test_approximate_path_matches_set_reference(self):
-        # the first minimal hard cover with the most soft coverage, extended
-        # by max-gain greedy; duplicated soft clauses count once per request
+        # every minimal hard cover extended by max-gain greedy, the best plan
+        # kept, ties to the smallest selection; duplicated soft clauses count
+        # once per request
         rng = random.Random(0xA99)
         for trial in range(20):
             inst = shared_instance(rng, n_vars=40, hard_vars=8, n_hard=2, n_soft=4,
@@ -175,10 +186,7 @@ class TestOptimize:
             covers = reference_covers(hard_clauses, inst.budget)
             if not covers:
                 continue
-            best = max(covers, key=lambda s: soft_count(soft_clauses, s))
-            want = tuple(sorted(best + tuple(
-                reference_greedy(soft_clauses, best, inst.budget - len(best))
-            )))
+            want = reference_extension(soft_clauses, covers, inst.budget)
             plan = optimize(inst)
             assert plan.exact is False, f"trial {trial}"
             assert plan.selected == want, f"trial {trial}"
@@ -263,18 +271,42 @@ class TestOracleEquivalence:
                 assert greedy.soft_covered <= plan.soft_covered
 
 
+def _campaign_faults(system, k_max):
+    return {
+        r.request_id: run_campaign(system, CampaignConfig(request_id=r.request_id, k_max=k_max)).valid_faults
+        for r in system.requests
+    }
+
+
+def _most_frequent(system):
+    return [max(dict(system.request_frequency), key=lambda rid: dict(system.request_frequency)[rid])]
+
+
 def _sweep_inputs(seed=29, share=0.5):
     params = GenParams(
         group_num=2, edge_num=9, bone_num=2, n_requests=4,
         shared_api_fraction=share, seed=seed,
     )
     system = generate_system(params)
-    faults = {
-        r.request_id: run_campaign(system, CampaignConfig(request_id=r.request_id, k_max=2)).valid_faults
-        for r in system.requests
-    }
-    high = [max(dict(system.request_frequency), key=lambda rid: dict(system.request_frequency)[rid])]
-    return system, faults, high
+    return system, _campaign_faults(system, k_max=2), _most_frequent(system)
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    """The benchmark's fleet system (seed 1) and its ``k_max`` 3 campaign faults."""
+    system = generate_system(GenParams(
+        group_num=2, edge_num=40, bone_num=3, n_requests=8, shared_api_fraction=0.3, seed=1,
+    ))
+    return system, _campaign_faults(system, k_max=3)
+
+
+def assert_greedy_never_beats_exact(system, faults, high, budgets):
+    exact = budget_sweep(system, faults, high, budgets=budgets, method="exact")
+    greedy = budget_sweep(system, faults, high, budgets=budgets, method="greedy")
+    for e, g in zip(exact.levels, greedy.levels):
+        if e.feasible and g.feasible:
+            assert g.plan.soft_covered <= e.plan.soft_covered, e.budget
+    return exact
 
 
 class TestBudgetSweep:
@@ -334,12 +366,12 @@ class TestBudgetSweep:
 
     def test_greedy_method_never_beats_exact(self):
         system, faults, high = _sweep_inputs()
-        budgets = [2, 4, 6, 8]
-        exact = budget_sweep(system, faults, high, budgets=budgets, method="exact")
-        greedy = budget_sweep(system, faults, high, budgets=budgets, method="greedy")
-        for e, g in zip(exact.levels, greedy.levels):
-            if e.feasible and g.feasible:
-                assert g.plan.soft_covered <= e.plan.soft_covered
+        assert_greedy_never_beats_exact(system, faults, high, [2, 4, 6, 8])
+
+    def test_greedy_method_never_beats_exact_fleet(self, fleet):
+        system, faults = fleet
+        exact = assert_greedy_never_beats_exact(system, faults, _most_frequent(system), [8, 16, 32, 64])
+        assert not any(lv.plan.exact for lv in exact.levels)
 
     def test_budget_validation(self):
         system, faults, high = _sweep_inputs()
@@ -394,14 +426,8 @@ class TestAfvrOracle:
         system, faults, high = _sweep_inputs(seed=seed)
         assert_afvr_matches_reinjection(system, faults, high, [1, 2, 3, 5, 8, system.n_vars])
 
-    def test_campaign_faults_fleet(self):
-        system = generate_system(GenParams(
-            group_num=2, edge_num=40, bone_num=3, n_requests=8, shared_api_fraction=0.3, seed=1,
-        ))
-        faults = {
-            r.request_id: run_campaign(system, CampaignConfig(request_id=r.request_id, k_max=3)).valid_faults
-            for r in system.requests
-        }
+    def test_campaign_faults_fleet(self, fleet):
+        system, faults = fleet
         assert_afvr_matches_reinjection(system, faults, [0], [8, 16, 32, 64])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -485,15 +511,13 @@ class TestLazyGreedy:
                 picks += reference_greedy(soft_clauses, picks, inst.budget - len(picks))
             infeasible += not feasible
             assert greedy_baseline(inst).selected == tuple(sorted(picks)), f"trial {trial}"
-            # optimize's approximate path: the best hard cover, extended greedily
+            # optimize's approximate path: every hard cover extended greedily, the best kept
             covers = reference_covers(hard_clauses, inst.budget)
             if not covers:
                 continue
             plan = optimize(inst)
             assert not plan.exact
-            best = max(covers, key=lambda c: soft_count(soft_clauses, c))
-            want = best + tuple(reference_greedy(soft_clauses, best, inst.budget - len(best)))
-            assert plan.selected == tuple(sorted(want)), f"trial {trial}"
+            assert plan.selected == reference_extension(soft_clauses, covers, inst.budget), f"trial {trial}"
         assert infeasible > 0
 
 
@@ -506,9 +530,8 @@ def sweep_sides(system, faults, high):
     return side(True), side(False)
 
 
-def fresh_plan(monkeypatch, inst, method):
-    """One level's plan with the cover memo cleared; None when infeasible."""
-    monkeypatch.setattr(hardening, "_cover_memo", None)
+def fresh_plan(inst, method):
+    """One level's plan from a fresh call; None when infeasible."""
     if method == "greedy":
         plan = greedy_baseline(inst)
         return plan if plan.feasible else None
@@ -518,10 +541,10 @@ def fresh_plan(monkeypatch, inst, method):
         return None
 
 
-def fresh_sweep(monkeypatch, system, faults, high, budgets, method):
+def fresh_sweep(system, faults, high, budgets, method):
     hard, soft = sweep_sides(system, faults, high)
     return [
-        fresh_plan(monkeypatch, HardeningInstance(hard, soft, b, system.n_vars), method)
+        fresh_plan(HardeningInstance(hard, soft, b, system.n_vars), method)
         for b in budgets
     ]
 
@@ -533,7 +556,7 @@ def sweep_plans(system, faults, high, budgets, method):
 class TestSweepReuse:
     """A sweep's one cover search gives what fresh per-level calls give."""
 
-    def test_sweep_equals_fresh_levels(self, monkeypatch):
+    def test_sweep_equals_fresh_levels(self):
         seen = set()
         budgets = [0, 1, 2, 3, 5, 8]
         for g, e, b, n, share in [(2, 9, 2, 4, 0.5), (2, 20, 3, 6, 0.3)]:
@@ -541,15 +564,11 @@ class TestSweepReuse:
                 system = generate_system(GenParams(
                     group_num=g, edge_num=e, bone_num=b, n_requests=n, shared_api_fraction=share, seed=seed,
                 ))
-                faults = {
-                    r.request_id: run_campaign(system, CampaignConfig(request_id=r.request_id, k_max=2)).valid_faults
-                    for r in system.requests
-                }
+                faults = _campaign_faults(system, k_max=2)
                 for high in ([], [0], [0, 2]):
                     for method in ("exact", "greedy"):
-                        monkeypatch.setattr(hardening, "_cover_memo", None)
                         got = sweep_plans(system, faults, high, budgets, method)
-                        assert got == fresh_sweep(monkeypatch, system, faults, high, budgets, method)
+                        assert got == fresh_sweep(system, faults, high, budgets, method)
                         seen |= {"empty hard" if not high else "hard"}
                         seen |= {"infeasible" if p is None else "exact" if p.exact else "approx" for p in got}
         assert seen == {"empty hard", "hard", "infeasible", "exact", "approx"}
@@ -566,7 +585,6 @@ class TestSweepReuse:
         monkeypatch.setattr(hardening, "enumerate_minimal", counting)
         system, faults, high = _sweep_inputs()
         for budgets in ([2, 4, 6, 8], [0, 1, 3], [0], [5, system.n_vars]):
-            monkeypatch.setattr(hardening, "_cover_memo", None)
             searches = 0
             budget_sweep(system, faults, high, budgets)
             assert searches == 1, budgets
@@ -574,7 +592,7 @@ class TestSweepReuse:
         budget_sweep(system, faults, high, [2, 4, 6, 8], method="greedy")
         assert searches == 0
 
-    def test_interleaved_calls_never_reuse_stale_covers(self, monkeypatch):
+    def test_interleaved_calls_never_reuse_stale_covers(self):
         rng = random.Random(0x5EED)
         systems = [_sweep_inputs(seed) for seed in (29, 30)]
         shared = [shared_instance(rng, n_vars=12, hard_vars=8, n_hard=2, n_soft=2, budget=0)
@@ -596,10 +614,8 @@ class TestSweepReuse:
         def outcome(call, fresh):
             if call[0] == "sweep":
                 if fresh:
-                    return fresh_sweep(monkeypatch, *call[1:])
+                    return fresh_sweep(*call[1:])
                 return sweep_plans(*call[1:])
-            if fresh:
-                monkeypatch.setattr(hardening, "_cover_memo", None)
             try:
                 return optimize(call[1])
             except (InfeasibleBudgetError, VariableRangeError) as exc:
@@ -607,6 +623,5 @@ class TestSweepReuse:
 
         want = [outcome(call, fresh=True) for call in calls]
         assert VariableRangeError in want and InfeasibleBudgetError in want
-        monkeypatch.setattr(hardening, "_cover_memo", None)
         for i, call in enumerate(calls):
             assert outcome(call, fresh=False) == want[i], f"call {i}"

@@ -1,7 +1,9 @@
 """Grouped-skeleton generator, execution oracle, and system file format."""
 
 import itertools
+import json
 import random
+import re
 
 import pytest
 
@@ -23,6 +25,22 @@ from minfault.simulation import (
     system_to_json,
 )
 from minfault.solver import brute_force_minimal
+
+# each puts a JSON boolean where a one-variable system file holds the equal integer
+BOOLEAN_FIELDS = {
+    "n_vars": lambda doc: doc.update(n_vars=True),
+    "requests[0].id": lambda doc: doc["requests"][0].update(id=False),
+    "requests[0].frequency": lambda doc: doc["requests"][0].update(frequency=True),
+    "requests[0].paths[0]": lambda doc: doc["requests"][0]["paths"][0].__setitem__(0, False),
+    "requests[0].group_of_path": lambda doc: doc["requests"][0]["group_of_path"].__setitem__(0, False),
+}
+
+
+def boolean_system_file(field):
+    """The text of ``tiny_system([{0}], 1)`` with a boolean in ``field``."""
+    doc = json.loads(system_to_json(tiny_system([{0}], 1)))
+    BOOLEAN_FIELDS[field](doc)
+    return json.dumps(doc)
 
 
 def tiny_system(paths, n_vars, request_id=0):
@@ -249,20 +267,21 @@ class TestSystemFile:
             system_from_json(bad)
 
     def test_missing_field_named(self):
-        import json
-
         doc = json.loads(system_to_json(tiny_system([{0}], 1)))
         del doc["requests"][0]["frequency"]
         with pytest.raises(SchemaError, match=r"requests\[0\].frequency"):
             system_from_json(json.dumps(doc))
 
     def test_path_out_of_range_named(self):
-        import json
-
         doc = json.loads(system_to_json(tiny_system([{0}], 1)))
         doc["requests"][0]["paths"] = [[3]]
         with pytest.raises(SchemaError, match=r"paths\[0\]"):
             system_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+    def test_boolean_for_integer_named(self, field):
+        with pytest.raises(SchemaError, match=re.escape(field)):
+            system_from_json(boolean_system_file(field))
 
     def test_not_json(self):
         with pytest.raises(SchemaError, match="JSON"):
