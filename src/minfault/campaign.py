@@ -104,8 +104,9 @@ def _drive(
     phi = make_cnf([bootstrap.observed_path], system.n_vars)
 
     k = k_start
-    valid: list[tuple[int, ...]] = []
-    injected: set[tuple[int, ...]] = set()  # candidates are ascending tuples
+    # valid faults in discovery order, and the only candidates ever pulled
+    # twice (see below); candidates are ascending tuples
+    valid: dict[tuple[int, ...], None] = {}
     log: list[InjectionRecord] = []
     injections = 0
     solver_calls = 0
@@ -129,17 +130,20 @@ def _drive(
             if cand is None:
                 break
             # a valid fault hits every real path, so it satisfies every
-            # later formula: a minimal candidate containing it equals it
-            if cand in injected:
+            # later formula: a minimal candidate containing it equals it.
+            # A survivor never comes back: it misses the path it revealed,
+            # which is conjoined before the next pull, and a pool yields
+            # each set once, all satisfying the formula it was opened on
+            # (in static mode too, where a stale pool runs on)
+            if cand in valid:
                 continue
             t0 = time.perf_counter()
             outcome = execute(system, request_id, cand)
             inject_s += time.perf_counter() - t0
             injections += 1
             log.append(InjectionRecord(cand, outcome.failed, phi.m))
-            injected.add(cand)
             if outcome.failed:
-                valid.append(cand)
+                valid[cand] = None
             else:
                 phi = conjoin(phi, outcome.observed_path)
                 if dynamic:

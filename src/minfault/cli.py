@@ -106,14 +106,15 @@ def _fault_fragments(symbol_table):
     return fragments
 
 
-def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) -> str:
-    """A campaign file, the same text ``_dump_json`` gives for the document.
+def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) -> Iterator[str]:
+    """A campaign file in pieces, the same text ``_dump_json`` gives for the document.
 
     The small head goes through ``_dump_json``; ``valid_faults`` sorts
-    after every head key, so its entries are appended from a template
-    with each fault's variables taken from ``fragments`` (see
-    ``_fault_fragments``).  The pure-Python indenting encoder would
-    otherwise re-encode every symbol of every fault.
+    after every head key, so its entries follow, one piece per fault,
+    from a template with each fault's variables taken from ``fragments``
+    (see ``_fault_fragments``).  The pure-Python indenting encoder would
+    otherwise re-encode every symbol of every fault, and nothing holds
+    the whole file.
     """
     head = _dump_json({
         "run_id": run_id,
@@ -130,19 +131,23 @@ def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) ->
             "end_to_end": round(result.wall_times.total_ms, 3),
         },
     })
-    entries = []
+    # drop the head's closing "\n}\n" and append the last key
+    yield f'{head[:-3]},\n  "valid_faults": '
+    if not result.valid_faults:
+        yield "[]\n}\n"
+        return
+    sep = "[\n"
     for fault in result.valid_faults:  # non-empty: no request fails uninjected
         frags = [fragments(v) for v in fault]
-        entries.append(
-            '    {\n      "symbols": [\n'
+        yield (
+            sep + '    {\n      "symbols": [\n'
             + ",\n".join([s for _, s in frags])
             + '\n      ],\n      "vars": [\n'
             + ",\n".join([v for v, _ in frags])
             + "\n      ]\n    }"
         )
-    faults = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    # drop the head's closing "\n}\n" and append the last key
-    return f'{head[:-3]},\n  "valid_faults": {faults}\n}}\n'
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 class Manifest:
@@ -250,25 +255,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# ``solve`` joins its output into chunks of about this many characters
+# ``solve`` and ``inject`` join their output into chunks of about this many characters
 _CHUNK_CHARS = 1 << 20
 
 
-def _solution_chunks(blocks, names: dict[int, str]) -> Iterator[str]:
-    """``solve``'s output text for the solver's blocks, in chunks.
-
-    One line per solution: its variables' names separated by spaces, or
-    ``0`` for the empty solution.  A block ``(prefix, lasts)`` is
-    formatted with one join over its shared prefix text.
-    """
+def _chunked(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces`` joined into chunks of about ``_CHUNK_CHARS``."""
     parts: list[str] = []
     size = 0
-    for prefix, lasts in blocks:
-        if lasts is None:
-            text = "0\n"
-        else:
-            head = "".join([names[v] + " " for v in prefix])
-            text = head + ("\n" + head).join([names[v] for v in lasts]) + "\n"
+    for text in pieces:
         parts.append(text)
         size += len(text)
         if size >= _CHUNK_CHARS:
@@ -277,6 +272,21 @@ def _solution_chunks(blocks, names: dict[int, str]) -> Iterator[str]:
             size = 0
     if parts:
         yield "".join(parts)
+
+
+def _solution_text(blocks, names: dict[int, str]) -> Iterator[str]:
+    """``solve``'s output text for the solver's blocks, one piece per block.
+
+    One line per solution: its variables' names separated by spaces, or
+    ``0`` for the empty solution.  A block ``(prefix, lasts)`` is
+    formatted with one join over its shared prefix text.
+    """
+    for prefix, lasts in blocks:
+        if lasts is None:
+            yield "0\n"
+        else:
+            head = "".join([names[v] + " " for v in prefix])
+            yield head + ("\n" + head).join([names[v] for v in lasts]) + "\n"
 
 
 def cmd_solve(args) -> int:
@@ -295,7 +305,7 @@ def cmd_solve(args) -> int:
     manifest.add_input(args.cnf, data)
     # only the variables that occur: the header may declare any number
     names = {v: str(v + 1) for v in cnf.variables()}
-    chunks = _solution_chunks(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names)
+    chunks = _chunked(_solution_text(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names))
     if args.out is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
@@ -357,8 +367,8 @@ def cmd_inject(args) -> int:
             writer.writerow([rid, "", "", "", "", "", error, manifest.run_id])
             continue
         out_file = args.out_dir / f"request_{rid}.json"
-        text = _dump_campaign(result, mode, manifest.run_id, fragments)
-        manifest.add_output(out_file, _write_atomic(out_file, [text]))
+        pieces = _dump_campaign(result, mode, manifest.run_id, fragments)
+        manifest.add_output(out_file, _write_atomic(out_file, _chunked(pieces)))
         writer.writerow([
             rid, result.injections, result.solver_calls, len(result.valid_faults),
             round(result.wall_times.solve_ms, 3), round(result.wall_times.total_ms, 3),

@@ -3,14 +3,15 @@
 Each discovered fault becomes a positive clause (harden at least one of
 its APIs); high-priority requests contribute hard clauses that must all
 be covered, low-priority requests contribute soft clauses whose covered
-count is maximized.  Selection is two-stage: enumerate the minimal hard
-covers within budget, extend each cover with the residual budget over the
-remaining soft clauses, and keep the plan covering the most soft clauses,
-ties to the lexicographically smallest selection.  On small instances the
-extension is an exact branch and bound, which makes the result optimal
-over all selections; above the size limits it is the greedy, as in
-Khuller, Moss & Naor's seeded scheme for budgeted maximum coverage
-(1999), and the plan is flagged approximate.
+count is maximized.  Plans have one order: the most soft clauses
+covered, then the fewest APIs, then the lexicographically smallest
+selection.  Selection is two-stage: enumerate the minimal hard covers
+within budget, extend each cover with the residual budget over the
+remaining soft clauses, and keep the first plan in that order.  On small
+instances the extension is an exact branch and bound, which makes the
+plan the first of all selections; above the size limits it is the
+greedy, as in Khuller, Moss & Naor's seeded scheme for budgeted maximum
+coverage (1999), and the plan is flagged approximate.
 
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
 set when clause instance i contains it.  Instances are numbered across
@@ -139,40 +140,49 @@ def _plan(selected, hard, soft, feasible, exact) -> HardeningPlan:
     )
 
 
-def _max_coverage_exact(candidates, cand_masks, limit):
-    """Pick at most ``limit`` candidates maximizing covered clause bits.
+def _plan_key(covered: int, selection) -> tuple:
+    """The one plan order: most soft clauses, then fewest APIs, then smallest ids."""
+    sel = tuple(sorted(selection))
+    return (-covered, len(sel), sel)
 
-    Branch and bound over candidates in descending gain order; ties in
-    final coverage go to the lexicographically smallest selection.
+
+def _max_coverage_exact(cover, soft, limit):
+    """The smallest plan key of ``cover`` with at most ``limit`` more APIs.
+
+    Branch and bound with an explicit stack.  Candidates are the APIs
+    hitting a soft clause the cover misses, in descending gain order; a
+    node adds a later candidate only if it covers a clause still
+    uncovered, since a plan holding an API that adds nothing loses to the
+    plan without it.  Every plan below a node covers at most the smaller
+    of two bounds: its coverage plus the top-r marginal gains, r its picks
+    left, and the coverage with every later candidate added.  A node is
+    cut when no plan below it can sort before the best.
     """
-    order = sorted(range(len(candidates)), key=lambda i: (-cand_masks[i].bit_count(), candidates[i]))
-    best_cov = -1
-    best_sel: tuple[int, ...] = ()
-
-    def consider(covered_mask, chosen):
-        nonlocal best_cov, best_sel
-        cov = covered_mask.bit_count()
-        sel = tuple(sorted(candidates[i] for i in chosen))
-        if cov > best_cov or (cov == best_cov and sel < best_sel):
-            best_cov, best_sel = cov, sel
-
-    def walk(pos, covered_mask, chosen):
-        consider(covered_mask, chosen)
-        picks_left = limit - len(chosen)
-        if picks_left == 0 or pos == len(order):
-            return
-        gains = sorted(
-            ((cand_masks[i] & ~covered_mask).bit_count() for i in order[pos:]),
-            reverse=True,
-        )
-        if covered_mask.bit_count() + sum(gains[:picks_left]) < best_cov:
-            return
-        idx = order[pos]
-        walk(pos + 1, covered_mask | cand_masks[idx], chosen + [idx])
-        walk(pos + 1, covered_mask, chosen)
-
-    walk(0, 0, [])
-    return best_sel
+    masks, n = soft
+    uncovered = _uncovered(soft, cover)
+    base = n - uncovered.bit_count()  # soft clauses the cover covers itself
+    order = sorted((-(m & uncovered).bit_count(), v) for v, m in masks.items() if m & uncovered)
+    cands = [(masks[v] & uncovered, v) for _, v in order]
+    suffix = [0] * (len(cands) + 1)  # suffix[i]: the clauses cands[i:] hit
+    for i in range(len(cands) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cands[i][0]
+    best = _plan_key(base, cover)
+    stack = [(0, 0, ())]  # (next candidate, clauses the picks cover, picks)
+    while stack:
+        pos, covered, picks = stack.pop()
+        best = min(best, _plan_key(base + covered.bit_count(), (*cover, *picks)))
+        left = limit - len(picks)
+        if left == 0 or pos == len(cands):
+            continue
+        gains = sorted([(m & ~covered).bit_count() for m, _ in cands[pos:]], reverse=True)
+        bound = base + min(covered.bit_count() + sum(gains[:left]), (covered | suffix[pos]).bit_count())
+        # a plan below covers at most ``bound`` clauses with one API more
+        if (-bound, len(cover) + len(picks) + 1) > best[:2]:
+            continue
+        children = [(j + 1, covered | m, picks + (v,))
+                    for j, (m, v) in enumerate(cands[pos:], pos) if m & ~covered]
+        stack.extend(reversed(children))  # the highest gain is popped first
+    return best
 
 
 def _greedy_cover(masks: Mapping[int, int], uncovered: int, budget_left: int) -> list[int]:
@@ -207,12 +217,11 @@ def _hard_covers(hard, n_vars: int, budget: int) -> list[tuple[int, ...]]:
 
 
 def _best_plan(hard, soft, covers, budget: int) -> HardeningPlan | None:
-    """Extend each of ``covers`` that fits ``budget``; None when none fits.
+    """The plan with the smallest key over ``covers``; None when none fits ``budget``.
 
     Each cover's residual budget goes to the soft clauses it leaves
     uncovered: exactly on small instances, greedily above the size limits
-    (flagged via ``exact=False``).  The plan covering the most soft
-    clauses wins, ties to the lexicographically smallest selection.
+    (flagged via ``exact=False``).  Plans are ranked by :func:`_plan_key`.
     """
     covers = [c for c in covers if len(c) <= budget]
     if not covers:
@@ -223,25 +232,15 @@ def _best_plan(hard, soft, covers, budget: int) -> HardeningPlan | None:
         and n_soft <= _EXACT_MAX_CLAUSES
         and len(covers) <= _EXACT_MAX_COVERS
     )
-    best_sel: tuple[int, ...] | None = None
-    best_cov = -1
+    keys = []
     for cover in covers:
-        uncovered = _uncovered(soft, cover)
         residual = budget - len(cover)
-        sel = cover
-        if residual > 0 and uncovered:
-            if exact:
-                # one candidate per variable still hitting an uncovered clause
-                candidates = sorted(v for v, m in soft_masks.items() if m & uncovered)
-                cand_masks = [soft_masks[v] & uncovered for v in candidates]
-                picks = _max_coverage_exact(candidates, cand_masks, residual)
-            else:
-                picks = _greedy_cover(soft_masks, uncovered, residual)
-            sel = tuple(sorted([*cover, *picks]))
-        cov = n_soft - _uncovered(soft, sel).bit_count()
-        if cov > best_cov or (cov == best_cov and sel < best_sel):
-            best_cov, best_sel = cov, sel
-    return _plan(best_sel, hard, soft, feasible=True, exact=exact)
+        if exact:
+            keys.append(_max_coverage_exact(cover, soft, residual))
+        else:
+            sel = [*cover, *_greedy_cover(soft_masks, _uncovered(soft, cover), residual)]
+            keys.append(_plan_key(n_soft - _uncovered(soft, sel).bit_count(), sel))
+    return _plan(min(keys)[2], hard, soft, feasible=True, exact=exact)
 
 
 def _greedy_plan(hard, soft, budget: int) -> HardeningPlan:
@@ -259,11 +258,9 @@ def _greedy_plan(hard, soft, budget: int) -> HardeningPlan:
 def optimize(instance: HardeningInstance) -> HardeningPlan:
     """Two-stage selection; raises when the hard side cannot fit the budget.
 
-    Every minimal hard cover within the budget is extended and the best
-    plan is kept (see :func:`_best_plan`).  On small instances the
-    extension is exact, which makes the result optimal over all
-    selections: any optimal selection contains some minimal cover of the
-    hard clauses.
+    On small instances the plan is the hard-feasible selection of at most
+    ``budget`` APIs with the smallest :func:`_plan_key`: every selection
+    holds a minimal hard cover, which :func:`_best_plan` extends exactly.
     Above the size limits each cover is extended greedily and the plan is
     flagged via ``exact=False``.
     """

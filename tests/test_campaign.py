@@ -277,6 +277,45 @@ class TestLazyPool:
         assert list(res.valid_faults) == sorted(res.valid_faults)
         assert pulled <= 500
 
+    def test_only_valid_faults_come_back(self, monkeypatch):
+        # ``_drive`` dedupes against the valid faults alone: a survivor is
+        # never pulled again, in either mode
+        pulls = []
+        survivors = []
+        search, run = minfault.campaign.iter_minimal, minfault.campaign.execute
+
+        def recording_search(*args, **kwargs):
+            for cand in search(*args, **kwargs):
+                pulls.append(cand)
+                yield cand
+
+        def recording_execute(system, rid, injected, **kwargs):
+            outcome = run(system, rid, injected, **kwargs)
+            if injected and not outcome.failed:
+                survivors.append(tuple(injected))
+            return outcome
+
+        monkeypatch.setattr(minfault.campaign, "iter_minimal", recording_search)
+        monkeypatch.setattr(minfault.campaign, "execute", recording_execute)
+        repeats = 0
+        for seed in range(12):
+            system = generate_system(GenParams(
+                group_num=2 + seed % 2, edge_num=7 + seed, bone_num=2, n_requests=3,
+                shared_api_fraction=0.4, seed=seed,
+            ))
+            for req in system.requests:
+                for static in (False, True):
+                    pulls.clear()
+                    survivors.clear()
+                    if static:
+                        res = run_campaign_static(system, req.request_id, 3)
+                    else:
+                        res = run_campaign(system, CampaignConfig(request_id=req.request_id, k_max=3))
+                    assert all(pulls.count(s) == 1 for s in survivors)
+                    assert res.injections == len(set(pulls)) == len(res.valid_faults) + len(survivors)
+                    repeats += len(pulls) - len(set(pulls))
+        assert repeats > 0  # valid faults do come back
+
     @pytest.mark.parametrize("g,e,b", [(2, 50, 2), (3, 7, 2), (3, 20, 4), (4, 10, 3)])
     def test_unshared_faults_ascend(self, g, e, b):
         # with k_max at the group count, faults come out in ascending order

@@ -624,7 +624,7 @@ def campaign_doc(result, symbol_table, mode, run_id):
 
 def assert_same_text(result, symbol_table, fragments=None, mode="dynamic", run_id="0123456789ab"):
     fragments = fragments or _fault_fragments(symbol_table)
-    got = _dump_campaign(result, mode, run_id, fragments)
+    got = "".join(_dump_campaign(result, mode, run_id, fragments))
     doc = campaign_doc(result, symbol_table, mode, run_id)
     assert got == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return got

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -107,12 +108,12 @@ def soft_count(soft_clauses, selected):
 
 def reference_extension(soft_clauses, covers, budget):
     """Each cover extended by ``reference_greedy``; the most soft coverage
-    wins, ties to the lexicographically smallest selection."""
+    wins, then the fewest APIs, then the lexicographically smallest selection."""
     ext = [
         tuple(sorted(c + tuple(reference_greedy(soft_clauses, c, budget - len(c)))))
         for c in covers
     ]
-    return min(ext, key=lambda s: (-soft_count(soft_clauses, s), s))
+    return min(ext, key=lambda s: (-soft_count(soft_clauses, s), len(s), s))
 
 
 class TestBuildRequestCnf:
@@ -269,6 +270,88 @@ class TestOracleEquivalence:
             greedy = greedy_baseline(inst)
             if greedy.feasible:
                 assert greedy.soft_covered <= plan.soft_covered
+
+
+def exhaustive_argmin(hard_clauses, soft_clauses, budget):
+    """Oracle: the smallest ``(-soft covered, size, selection)`` over every
+    hard-feasible selection of at most ``budget`` variables; None if none."""
+    universe = sorted(set().union(frozenset(), *hard_clauses, *soft_clauses))
+    return min(
+        (
+            (-soft_count(soft_clauses, combo), size, combo)
+            for size in range(min(budget, len(universe)) + 1)
+            for combo in itertools.combinations(universe, size)
+            if all(c & set(combo) for c in hard_clauses)
+        ),
+        default=None,
+    )
+
+
+class TestOnePlanOrder:
+    """Exact plans are the argmin of one key: most soft clauses, fewest APIs, smallest ids."""
+
+    def test_padding_api_dropped(self):
+        # ties broken by ids alone would pad {3} with API 1, which adds nothing
+        inst = instance(hard=[], soft=[[{1, 3}, {3, 4}]], budget=2, n_vars=5)
+        assert optimize(inst).selected == (3,)
+
+    def test_exhaustive_argmin(self):
+        rng = random.Random(0x0DE7)
+        exact = shorter = 0
+        for trial in range(400):
+            n = rng.randint(2, 10)
+            mk = lambda: {rng.randrange(n) for _ in range(rng.randint(1, 3))}
+            hard = [[mk() for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(0, 2))]
+            soft = [[mk() for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(0, 4))]
+            inst = instance(hard=hard, soft=soft, budget=rng.randint(0, 7), n_vars=n)
+            hard_clauses, soft_clauses = clause_lists(inst)
+            want = exhaustive_argmin(hard_clauses, soft_clauses, inst.budget)
+            if want is None:
+                with pytest.raises(InfeasibleBudgetError):
+                    optimize(inst)
+                continue
+            plan = optimize(inst)
+            assert plan.exact, f"trial {trial}"
+            assert (-plan.soft_covered, len(plan.selected), plan.selected) == want, f"trial {trial}"
+            exact += 1
+            shorter += len(plan.selected) < inst.budget
+        assert exact >= 300 and shorter > 0
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_no_redundant_api(self, seed):
+        # campaign faults; every API of an exact plan covers a hard clause
+        # or a soft clause that no other selected API covers
+        system = generate_system(GenParams(
+            group_num=2, edge_num=7 + seed, bone_num=2, n_requests=4, shared_api_fraction=0.4, seed=seed,
+        ))
+        faults = _campaign_faults(system, k_max=2)
+        hard, soft = sweep_sides(system, faults, _most_frequent(system))
+        hard_clauses = [c for _, cnf in hard for c in cnf.clauses]
+        soft_clauses = [c for _, cnf in soft for c in cnf.clauses]
+        sweep = budget_sweep(system, faults, _most_frequent(system), budgets=range(1, 13))
+        exact = [lv.plan for lv in sweep.levels if lv.feasible and lv.plan.exact]
+        assert exact
+        for plan in exact:
+            for v in plan.selected:
+                rest = set(plan.selected) - {v}
+                assert (
+                    not all(c & rest for c in hard_clauses)
+                    or soft_count(soft_clauses, rest) < plan.soft_covered
+                ), (plan, v)
+
+    def test_deep_residual_budget_is_fast(self):
+        # a large residual budget over up to 24 candidates: a search that
+        # breaks coverage ties by ids alone walks every tied superset
+        system = generate_system(GenParams(
+            group_num=3, edge_num=12, bone_num=2, n_requests=5, shared_api_fraction=0.4, seed=1,
+        ))
+        faults = _campaign_faults(system, k_max=3)
+        t0 = time.perf_counter()
+        (level,) = budget_sweep(system, faults, _most_frequent(system), budgets=[16]).levels
+        assert time.perf_counter() - t0 < 10
+        assert level.plan.exact
+        assert level.plan.soft_covered == level.plan.soft_total == 32
+        assert len(level.plan.selected) == 10
 
 
 def _campaign_faults(system, k_max):
