@@ -35,7 +35,7 @@ class CampaignConfig:
             raise ParameterError(f"k_max must be >= 1, got {self.k_max}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InjectionRecord:
     fault: tuple[int, ...]
     failed: bool

@@ -4,7 +4,12 @@ Machine-readable results go to files (or stdout for ``solve``);
 diagnostics go to stderr only.  Every run writes a manifest alongside
 its primary output recording parameters, input/output digests, and
 per-phase wall times.  Exit codes: 0 success, 1 usage error, 2
-input/parse error, 3 infeasible optimization.
+input/parse error, 3 infeasible optimization, 4 out of memory.
+
+``inject --kmax K [--static]`` runs one campaign per request, dynamic or
+the static baseline at the fixed bound K, and holds one in memory at a
+time; ``--jobs`` is accepted only as 1.  Its ``summary.csv`` and manifest
+are written last, so a directory without them is incomplete.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -41,6 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
+EXIT_MEMORY = 4
 
 
 class UsageError(MinfaultError):
@@ -213,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--request", type=int, default=None)
     target.add_argument("--all", action="store_true")
     inject.add_argument("--kmax", type=int, required=True)
-    inject.add_argument("--static", type=int, default=None, metavar="K",
-                        help="use the static baseline at fixed bound K instead")
-    inject.add_argument("--jobs", type=int, default=1)
+    inject.add_argument("--static", action="store_true",
+                        help="run the static baseline at the fixed bound --kmax instead")
+    inject.add_argument("--jobs", type=int, choices=[1], default=1)
     inject.add_argument("--out-dir", type=Path, required=True)
 
     harden = sub.add_parser("harden", help="select call sites to harden under budgets")
@@ -318,10 +323,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    """One campaign per request, each written out and dropped before the next starts."""
     if args.kmax < 1:
         raise UsageError("--kmax must be >= 1")
-    if args.static is not None and args.static < 1:
-        raise UsageError("--static must be >= 1")
     data = args.system.read_bytes()
     system = load_system(args.system)
     if args.request is not None:
@@ -329,51 +333,43 @@ def cmd_inject(args) -> int:
         request_ids = [args.request]
     else:
         request_ids = [r.request_id for r in system.requests]
-    mode = "static" if args.static is not None else "dynamic"
+    mode = "static" if args.static else "dynamic"
+    static = args.kmax if args.static else None
     manifest = Manifest(
         "inject",
-        {"system": str(args.system), "kmax": args.kmax, "static": args.static,
+        {"system": str(args.system), "kmax": args.kmax, "static": static,
          "requests": request_ids, "jobs": args.jobs},
-        identity={"kmax": args.kmax, "static": args.static, "requests": request_ids},
+        identity={"kmax": args.kmax, "static": static, "requests": request_ids},
     )
     manifest.add_input(args.system, data)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(rid: int):
-        try:
-            if args.static is not None:
-                return rid, run_campaign_static(system, rid, args.static), None
-            return rid, run_campaign(system, CampaignConfig(request_id=rid, k_max=args.kmax)), None
-        except MinfaultError as exc:
-            return rid, None, str(exc)
-
-    t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run_one, request_ids))
-    else:
-        outcomes = [run_one(rid) for rid in request_ids]
-    manifest.timings_ms["campaigns"] = (time.perf_counter() - t0) * 1e3
-
     fragments = _fault_fragments(system.symbol_table)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "request_id", "fault_injection_number", "solver_calls", "valid_faults",
-        "cnf_solving_time_ms", "end_to_end_time_ms", "error", "run_id",
-    ])
-    for rid, result, error in outcomes:
-        if result is None:
-            writer.writerow([rid, "", "", "", "", "", error, manifest.run_id])
+    writer.writerow(["request_id", "fault_injection_number", "solver_calls", "valid_faults",
+                     "cnf_solving_time_ms", "end_to_end_time_ms", "error", "run_id"])
+    campaigns_s = 0.0
+    for rid in request_ids:
+        t0 = time.perf_counter()
+        try:
+            if args.static:
+                result = run_campaign_static(system, rid, args.kmax)
+            else:
+                result = run_campaign(system, CampaignConfig(request_id=rid, k_max=args.kmax))
+        except MinfaultError as exc:
+            writer.writerow([rid, "", "", "", "", "", str(exc), manifest.run_id])
             continue
+        finally:
+            campaigns_s += time.perf_counter() - t0
         out_file = args.out_dir / f"request_{rid}.json"
         pieces = _dump_campaign(result, mode, manifest.run_id, fragments)
         manifest.add_output(out_file, _write_atomic(out_file, _chunked(pieces)))
-        writer.writerow([
-            rid, result.injections, result.solver_calls, len(result.valid_faults),
-            round(result.wall_times.solve_ms, 3), round(result.wall_times.total_ms, 3),
-            "", manifest.run_id,
-        ])
+        times = result.wall_times
+        writer.writerow([rid, result.injections, result.solver_calls, len(result.valid_faults),
+                         round(times.solve_ms, 3), round(times.total_ms, 3), "", manifest.run_id])
+        del result  # the next campaign runs with this one freed
+    manifest.timings_ms["campaigns"] = campaigns_s * 1e3
     summary = args.out_dir / "summary.csv"
     manifest.add_output(summary, _write_atomic(summary, [buf.getvalue()]))
     manifest.write(summary)
@@ -525,6 +521,9 @@ def main(argv=None) -> int:
     except MinfaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

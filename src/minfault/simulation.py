@@ -99,12 +99,6 @@ class SimulatedSystem:
         except KeyError:
             raise UnknownRequestError(f"no request with id {request_id}") from None
 
-    def frequency(self, request_id: int) -> int:
-        for rid, weight in self.request_frequency:
-            if rid == request_id:
-                return weight
-        raise UnknownRequestError(f"no request with id {request_id}")
-
 
 def expected_clause_overlap(group_num: int, edge_num: int, bone_num: int) -> float:
     """Closed-form per-request overlap statistic for an unshared system.
@@ -262,13 +256,14 @@ def _require(cond: bool, field: str, message: str):
 
 
 def system_to_json(system: SimulatedSystem) -> str:
+    weights = dict(system.request_frequency)
     doc = {
         "format": _FORMAT_TAG,
         "n_vars": system.n_vars,
         "requests": [
             {
                 "id": req.request_id,
-                "frequency": system.frequency(req.request_id),
+                "frequency": weights[req.request_id],
                 "paths": [sorted(p) for p in req.paths],
                 "group_of_path": list(req.group_of_path),
             }
@@ -304,9 +299,7 @@ def system_from_json(text: str) -> SimulatedSystem:
         service, api, replica = entry
         _require(isinstance(service, str), f"{field}.service", "expected a string")
         _require(isinstance(api, str), f"{field}.api", "expected a string")
-        # the replica is only copied into output files, so a JSON boolean
-        # stays accepted here; campaign files are tested with such a table
-        _require(isinstance(replica, int), f"{field}.replica", "expected an integer")
+        _require(type(replica) is int, f"{field}.replica", "expected an integer")
         symbols.append((service, api, replica))
 
     reqs_raw = doc["requests"]

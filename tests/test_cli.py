@@ -2,12 +2,16 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
+import importlib.util
 import json
 import os
 import resource
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +23,12 @@ from minfault.campaign import CampaignConfig, run_campaign, run_campaign_static
 from minfault.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
+    EXIT_MEMORY,
     EXIT_OK,
     EXIT_USAGE,
     _dump_campaign,
     _fault_fragments,
+    build_parser,
     main,
 )
 from minfault.cnf import compute_stats, make_cnf, parse_cnf, serialize_cnf
@@ -264,7 +270,7 @@ class TestInject:
 
     def test_static_never_fewer_injections(self, tmp_path, capsys):
         system = gen_system(tmp_path, capsys, edges=9, requests=2)
-        for flags, name in [([], "dyn"), (["--static", "4"], "stat")]:
+        for flags, name in [([], "dyn"), (["--static"], "stat")]:
             code, _, err = run(
                 ["inject", "--system", str(system), "--all", "--kmax", "4",
                  "--out-dir", str(tmp_path / name), *flags],
@@ -322,21 +328,117 @@ class TestInject:
         assert (out_dir / "request_1.json").exists()
         assert not (out_dir / "request_0.json").exists()
 
-    def test_parallel_jobs_same_results(self, tmp_path, capsys):
+    def test_jobs_accepts_only_one(self, tmp_path, capsys):
         system = gen_system(tmp_path, capsys)
-        for name, jobs in [("seq", "1"), ("par", "3")]:
-            code, _, err = run(
-                ["inject", "--system", str(system), "--all", "--kmax", "2",
-                 "--jobs", jobs, "--out-dir", str(tmp_path / name)],
-                capsys,
-            )
+        argv = ["inject", "--system", str(system), "--all", "--kmax", "2"]
+        code, _, err = run([*argv, "--jobs", "2", "--out-dir", str(tmp_path / "two")], capsys)
+        assert code == EXIT_USAGE
+        assert "--jobs" in err
+        assert not (tmp_path / "two").exists()
+        for name, flags in [("one", ["--jobs", "1"]), ("none", [])]:
+            code, _, err = run([*argv, *flags, "--out-dir", str(tmp_path / name)], capsys)
             assert code == EXIT_OK, err
-        seq = list(csv.DictReader((tmp_path / "seq" / "summary.csv").open()))
-        par = list(csv.DictReader((tmp_path / "par" / "summary.csv").open()))
-        for ra, rb in zip(seq, par):
-            for key in ra:
-                if not key.endswith("_time_ms"):
-                    assert ra[key] == rb[key]
+        for f in ["request_0.json", "request_1.json", "request_2.json", "summary.csv"]:
+            one, none = (without_timings(tmp_path / d / f) for d in ("one", "none"))
+            assert one == none
+        manifests = [json.loads((tmp_path / d / "summary.csv.manifest.json").read_text())
+                     for d in ("one", "none")]
+        assert manifests[0]["run_id"] == manifests[1]["run_id"]
+        assert manifests[0]["params"]["jobs"] == manifests[1]["params"]["jobs"] == 1
+
+    def test_static_runs_at_kmax(self, tmp_path, capsys):
+        system_file = gen_system(tmp_path, capsys, requests=1)
+        out_dir = tmp_path / "stat"
+        code, _, err = run(
+            ["inject", "--system", str(system_file), "--request", "0", "--kmax", "3", "--static",
+             "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        system = load_system(system_file)
+        manifest = json.loads((out_dir / "summary.csv.manifest.json").read_text())
+        assert (manifest["params"]["kmax"], manifest["params"]["static"]) == (3, 3)
+        expected = campaign_doc(run_campaign_static(system, 0, 3), system.symbol_table,
+                                "static", manifest["run_id"])
+        del expected["timings_ms"]
+        assert without_timings(out_dir / "request_0.json") == expected
+
+    def test_static_takes_no_value(self, tmp_path, capsys):
+        system = gen_system(tmp_path, capsys)
+        code, _, err = run(
+            ["inject", "--system", str(system), "--all", "--kmax", "3", "--static", "2",
+             "--out-dir", str(tmp_path / "camp")],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: 2" in err
+
+    def test_one_campaign_result_at_a_time(self, tmp_path, capsys, monkeypatch):
+        system = gen_system(tmp_path, capsys, requests=4)
+        refs = []
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in refs), "an earlier campaign result is still held"
+            result = run_campaign(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run_campaign", tracked)
+        code, _, err = run(
+            ["inject", "--system", str(system), "--all", "--kmax", "2", "--out-dir", str(tmp_path / "camp")],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        assert len(refs) == 4
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        system = gen_system(tmp_path, capsys)
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_campaign", exhausted)
+        out_dir = tmp_path / "camp"
+        code, _, err = run(
+            ["inject", "--system", str(system), "--all", "--kmax", "2", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_MEMORY
+        assert "out of memory" in err
+        assert list(out_dir.iterdir()) == []
+
+
+def without_timings(path):
+    """A campaign file's document or ``summary.csv``'s rows, timing fields dropped."""
+    if path.suffix == ".csv":
+        return [{k: v for k, v in row.items() if not k.endswith("_time_ms")}
+                for row in csv.DictReader(path.open())]
+    doc = json.loads(path.read_text())
+    del doc["timings_ms"]
+    return doc
+
+
+def load_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # ``dataclass`` looks the defining module up in ``sys.modules``
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    parser = build_parser()
+    assert workloads.WORKLOADS
+    for w in workloads.WORKLOADS.values():
+        files = workloads.round_files(tmp_path)
+        assert parser.parse_args(workloads.gen_argv(w, 1, files)).command == "gen"
+        for argv in workloads.pipeline_argvs(w, files):
+            assert parser.parse_args(argv).command == argv[0]
 
 
 def run_pipeline(tmp_path, capsys, method="exact", budgets="2,4,6,8"):

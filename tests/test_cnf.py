@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cnfs_with_assignment, monotone_cnfs
@@ -16,9 +16,24 @@ from minfault.cnf import (
     parse_cnf,
     serialize_cnf,
 )
-from minfault.errors import CnfParseError, InvalidClauseError, VariableRangeError
+from minfault.errors import CnfParseError, InvalidClauseError, MinfaultError, VariableRangeError
 
 A, B, C, D = 0, 1, 2, 3
+
+
+# tokens that ``int`` and ``str.split`` treat in surprising ways included
+_CNF_LINES = st.lists(
+    st.sampled_from(["p", "mcnf", "c", "0", "1", "2", "3", "-2", "+1", "1_0", "\u0663",
+                     "9" * 5000, "x", "\r", "\x0b", "\u00a0"]),
+    max_size=5,
+).map(" ".join)
+CNF_TEXTS = st.one_of(
+    st.text(),
+    st.lists(_CNF_LINES, max_size=6).map("\n".join),
+    st.builds(lambda head, body: head + "\n" + "\n".join(body),
+              st.sampled_from(["p mcnf 3 2", "p mcnf 0 0", "c x\np mcnf 2 1", "p  mcnf\t3 1 "]),
+              st.lists(_CNF_LINES, max_size=4)),
+)
 
 
 def worked_example():
@@ -216,4 +231,13 @@ class TestFileFormat:
 
     @given(monotone_cnfs())
     def test_round_trip_identity(self, cnf):
+        assert parse_cnf(serialize_cnf(cnf)) == cnf
+
+    @settings(max_examples=400)
+    @given(CNF_TEXTS)
+    def test_fuzzed_text_parses_or_raises_package_error(self, text):
+        try:
+            cnf = parse_cnf(text)
+        except MinfaultError:
+            return
         assert parse_cnf(serialize_cnf(cnf)) == cnf

@@ -1,15 +1,25 @@
 """Grouped-skeleton generator, execution oracle, and system file format."""
 
+import functools
 import itertools
 import json
+import operator
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import compact_cnf, globalize
 from minfault.cnf import compute_stats
-from minfault.errors import ParameterError, SchemaError, UnknownRequestError, VariableRangeError
+from minfault.errors import (
+    MinfaultError,
+    ParameterError,
+    SchemaError,
+    UnknownRequestError,
+    VariableRangeError,
+)
 from minfault.simulation import (
     ExecutionOutcome,
     GenParams,
@@ -33,6 +43,7 @@ BOOLEAN_FIELDS = {
     "requests[0].frequency": lambda doc: doc["requests"][0].update(frequency=True),
     "requests[0].paths[0]": lambda doc: doc["requests"][0]["paths"][0].__setitem__(0, False),
     "requests[0].group_of_path": lambda doc: doc["requests"][0]["group_of_path"].__setitem__(0, False),
+    "symbol_table[0].replica": lambda doc: doc["symbol_table"][0].__setitem__(2, False),
 }
 
 
@@ -41,6 +52,26 @@ def boolean_system_file(field):
     doc = json.loads(system_to_json(tiny_system([{0}], 1)))
     BOOLEAN_FIELDS[field](doc)
     return json.dumps(doc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def field_paths(node, path=()):
+    """The key / index path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
 
 
 def tiny_system(paths, n_vars, request_id=0):
@@ -286,3 +317,20 @@ class TestSystemFile:
     def test_not_json(self):
         with pytest.raises(SchemaError, match="JSON"):
             system_from_json("not json at all")
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_single_field_mutation_loads_or_raises_package_error(self, data):
+        system = generate_system(GenParams(group_num=2, edge_num=9, bone_num=2, n_requests=2, seed=3))
+        doc = json.loads(system_to_json(system))
+        *parents, last = data.draw(st.sampled_from(list(field_paths(doc))))
+        parent = functools.reduce(operator.getitem, parents, doc)
+        if data.draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = data.draw(JSON_VALUES)
+        try:
+            loaded = system_from_json(json.dumps(doc))
+        except MinfaultError:
+            return
+        assert system_from_json(system_to_json(loaded)) == loaded
