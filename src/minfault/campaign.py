@@ -9,14 +9,16 @@ the search over the old formula is dropped unfinished for one over the
 new.  Only when a search is exhausted does k grow, up to ``k_max``.
 
 The campaign talks to the system exclusively through
-:func:`minfault.simulation.execute`; it never reads paths directly.
+:func:`minfault.simulation.execute`; it never reads paths directly.  It
+keeps the valid faults, the current formula and counters, and nothing per
+injection: its memory grows with what it learns, not with what it tries.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cnf import MonotoneCnf, conjoin, make_cnf
 from .errors import MinfaultError, ParameterError
@@ -33,13 +35,6 @@ class CampaignConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ParameterError(f"k_max must be >= 1, got {self.k_max}")
-
-
-@dataclass(frozen=True, slots=True)
-class InjectionRecord:
-    fault: tuple[int, ...]
-    failed: bool
-    formula_m: int  # clause count of the formula when this fault was injected
 
 
 @dataclass
@@ -60,7 +55,6 @@ class CampaignResult:
     final_cnf: MonotoneCnf
     final_k: int
     wall_times: PhaseTimings
-    injection_log: tuple[InjectionRecord, ...]
 
 
 def is_subsumed(candidate, valid) -> bool:
@@ -107,7 +101,6 @@ def _drive(
     # valid faults in discovery order, and the only candidates ever pulled
     # twice (see below); candidates are ascending tuples
     valid: dict[tuple[int, ...], None] = {}
-    log: list[InjectionRecord] = []
     injections = 0
     solver_calls = 0
 
@@ -141,7 +134,6 @@ def _drive(
             outcome = execute(system, request_id, cand)
             inject_s += time.perf_counter() - t0
             injections += 1
-            log.append(InjectionRecord(cand, outcome.failed, phi.m))
             if outcome.failed:
                 valid[cand] = None
             else:
@@ -176,5 +168,4 @@ def _drive(
         final_cnf=phi,
         final_k=k,
         wall_times=timings,
-        injection_log=tuple(log),
     )

@@ -1,10 +1,12 @@
 """Command-line surface: generate, solve, inject, harden.
 
 Machine-readable results go to files (or stdout for ``solve``);
-diagnostics go to stderr only.  Every run writes a manifest alongside
-its primary output recording parameters, input/output digests, and
-per-phase wall times.  Exit codes: 0 success, 1 usage error, 2
-input/parse error, 3 infeasible optimization, 4 out of memory.
+diagnostics go to stderr only.  Every run that writes its primary output
+to a file writes a manifest alongside it, recording parameters,
+input/output digests, and per-phase wall times; ``solve`` to stdout
+writes none.  Exit codes: 0 success, 1 usage error, 2 input/parse error,
+3 infeasible optimization, 4 out of memory.  ``solve`` to stdout also
+exits 0 when its reader closes the pipe early (``solve ... | head``).
 
 ``inject --kmax K [--static]`` runs one campaign per request, dynamic or
 the static baseline at the fixed bound K, and holds one in memory at a
@@ -312,8 +314,16 @@ def cmd_solve(args) -> int:
     names = {v: str(v + 1) for v in cnf.variables()}
     chunks = _chunked(_solution_text(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names))
     if args.out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader took what it wanted; stdout now points at devnull,
+            # so the flush at interpreter exit has no pipe left to fail on
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_OK
     t0 = time.perf_counter()
     manifest.add_output(args.out, _write_atomic(args.out, chunks))

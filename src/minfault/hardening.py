@@ -37,7 +37,7 @@ from .cnf import MonotoneCnf, make_cnf
 from .errors import InfeasibleBudgetError, ParameterError
 # execute is not called here; perfbench/tracing.py patches it by name
 from .simulation import SimulatedSystem, execute  # noqa: F401
-from .solver import SolverConfig, enumerate_minimal
+from .solver import SolverConfig, _cover_masks, enumerate_minimal
 
 # exact-mode limits: above any of these the approximate path takes over
 _EXACT_MAX_CANDIDATES = 24
@@ -85,7 +85,7 @@ class BudgetSweep:
 
 def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
     """One clause per fault: hardening any one API of a fault mitigates it."""
-    return make_cnf([frozenset(f) for f in valid_faults], n_vars)
+    return make_cnf(valid_faults, n_vars)
 
 
 def _index(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[dict[int, int], int]:
@@ -94,25 +94,15 @@ def _index(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[dict[int, int
     Clause instances are numbered across the formulas in order, one bit
     each, so a clause shared by two requests counts twice.
     """
-    masks: dict[int, int] = {}
-    n = 0
-    for _, cnf in formulas:
-        for c in cnf.clauses:
-            bit = 1 << n
-            for v in c:
-                masks[v] = masks.get(v, 0) | bit
-            n += 1
-    return masks, n
+    clauses = [c for _, cnf in formulas for c in cnf.clauses]
+    return _cover_masks(clauses), len(clauses)
 
 
 def _path_holders(paths, faults) -> list[list[tuple[int, int]]]:
     """Per path, ``(var, bitmask of the faults holding it)`` for each of its
     variables that some fault holds.  Fault i is bit i, so a fault listed
     twice counts twice."""
-    holders: dict[int, int] = {}
-    for i, fault in enumerate(faults):
-        for v in fault:
-            holders[v] = holders.get(v, 0) | (1 << i)
+    holders = _cover_masks(faults)
     return [[(v, holders[v]) for v in path if v in holders] for path in paths]
 
 
@@ -356,7 +346,9 @@ def budget_sweep(
         if prev is not None:
             mcg = (plan.soft_covered - prev[1]) / (b - prev[0])
         immune = frozenset(plan.selected)
-        fractions = []
+        # summed left to right: ``sum`` of floats is compensated from Python
+        # 3.12 on, and the plan must not depend on the interpreter
+        total = 0.0
         for rid, faults in active.items():
             still = (1 << len(faults)) - 1
             for holders in path_holders[rid]:
@@ -365,8 +357,8 @@ def budget_sweep(
                     if v not in immune:
                         broken |= faults_holding
                 still &= broken
-            fractions.append(still.bit_count() / len(faults))
-        afvr = sum(fractions) / len(fractions) if fractions else 0.0
+            total += still.bit_count() / len(faults)
+        afvr = total / len(active) if active else 0.0
         levels.append(
             SweepLevel(budget=b, plan=plan, cr=plan.cr, mcg=mcg, afvr=afvr, feasible=True)
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .cnf import MonotoneCnf, is_satisfied
@@ -68,10 +68,10 @@ class SolverCounters:
     nonminimal_leaves: int = 0
 
 
-def _cover_masks(cnf: MonotoneCnf) -> dict[int, int]:
-    """Each occurring variable's clause-cover mask: bit i for clause i."""
+def _cover_masks(clauses: Iterable[Iterable[int]]) -> dict[int, int]:
+    """Each occurring variable's clause-cover mask: bit i for the i-th clause."""
     cover: dict[int, int] = {}
-    for i, c in enumerate(cnf.clauses):
+    for i, c in enumerate(clauses):
         bit = 1 << i
         for v in c:
             cover[v] = cover.get(v, 0) | bit
@@ -80,7 +80,7 @@ def _cover_masks(cnf: MonotoneCnf) -> dict[int, int]:
 
 def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
     """Per clause, ``(coverage mask, variable)`` for each of its variables."""
-    cover = _cover_masks(cnf)
+    cover = _cover_masks(cnf.clauses)
     return [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
 
 
@@ -197,7 +197,7 @@ def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block
     if cnf.m == 0:
         yield (), None
         return
-    cover = _cover_masks(cnf)
+    cover = _cover_masks(cnf.clauses)
     # cover mask -> its twin class, ascending; classes in order of their
     # smallest member
     twins: dict[int, list[int]] = {}
@@ -335,6 +335,7 @@ def brute_force_minimal(cnf: MonotoneCnf, max_size: int) -> list[FaultSet]:
     if m == 0:
         return [()]
     occ = sorted(cnf.variables())
+    # built here, not by ``_cover_masks``: the oracle shares no code with the search
     masks: dict[int, int] = {}
     for i, c in enumerate(cnf.clauses):
         bit = 1 << i

@@ -12,7 +12,7 @@ from minfault.campaign import (
     run_campaign,
     run_campaign_static,
 )
-from minfault.cnf import is_satisfied, make_cnf
+from minfault.cnf import conjoin, is_satisfied, make_cnf
 from minfault.errors import ParameterError, UnknownRequestError
 from minfault.simulation import GenParams, execute, generate_system, ground_truth_paths
 from minfault.solver import brute_force_minimal
@@ -22,6 +22,25 @@ from test_simulation import tiny_system
 def oracle_minimal_faults(system, request_id, bound):
     cnf, to_global = compact_cnf(ground_truth_paths(system, request_id))
     return globalize(brute_force_minimal(cnf, bound), to_global)
+
+
+def observe(run, *args):
+    """``run(*args)``, and ``(fault, failed, observed_path)`` for each injection it makes.
+
+    Wraps ``minfault.campaign.execute``, as the benchmark's tracer does;
+    the bootstrap run on the empty set is not an injection.
+    """
+    log = []
+
+    def recording(system, rid, injected):
+        outcome = execute(system, rid, injected)
+        if injected:
+            log.append((tuple(injected), outcome.failed, outcome.observed_path))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minfault.campaign, "execute", recording)
+        return run(*args), log
 
 
 class TestIsSubsumed:
@@ -39,21 +58,25 @@ class TestIsSubsumed:
 
 
 class TestInjectionHistory:
-    """``injection_log`` is the campaign's history of attempted faults."""
+    """The injections a campaign makes, observed through ``execute``."""
 
-    def test_record_and_lookup(self, campaign):
-        # each logged outcome is the one ``execute`` gives for that fault
-        system, res = campaign
-        for run in (res, run_campaign_static(system, 0, 3)):
-            for rec in run.injection_log:
-                assert rec.failed == execute(system, 0, set(rec.fault)).failed
+    def test_survivor_paths_rebuild_final_cnf(self, campaign, static_campaign):
+        # the formula is the bootstrap path plus each survivor's path, in
+        # injection order.  A dynamic survivor's path is always new; a
+        # stale static candidate can survive on a path already known
+        system, *dynamic = campaign
+        bootstrap = execute(system, 0, ()).observed_path
+        for (res, log), fresh in ((dynamic, True), (static_campaign, False)):
+            survivors = [path for _, failed, path in log if not failed]
+            assert res.final_cnf == make_cnf([bootstrap, *survivors], system.n_vars)
+            assert (res.final_cnf.m == 1 + len(survivors)) == fresh
 
-    def test_append_only(self, campaign):
+    def test_append_only(self, campaign, static_campaign):
         # later searches yield known valid faults again; none is re-injected
-        system, res = campaign
-        for run in (res, run_campaign_static(system, 0, 3)):
-            faults = [rec.fault for rec in run.injection_log]
-            assert len(set(faults)) == len(faults) == run.injections
+        _, *dynamic = campaign
+        for res, log in (dynamic, static_campaign):
+            faults = [fault for fault, _, _ in log]
+            assert len(set(faults)) == len(faults) == res.injections
 
 
 class TestRunCampaign:
@@ -92,64 +115,73 @@ class TestRunCampaign:
 
     def test_deterministic(self):
         system = generate_system(GenParams(group_num=2, edge_num=9, bone_num=2, n_requests=1, seed=5))
-        a = run_campaign(system, CampaignConfig(request_id=0, k_max=4))
-        b = run_campaign(system, CampaignConfig(request_id=0, k_max=4))
+        a, log_a = observe(run_campaign, system, CampaignConfig(request_id=0, k_max=4))
+        b, log_b = observe(run_campaign, system, CampaignConfig(request_id=0, k_max=4))
         assert a.valid_faults == b.valid_faults
-        assert a.injection_log == b.injection_log
-        assert a.injections == b.injections
+        assert log_a == log_b
+        assert a.injections == b.injections == len(log_a)
 
 
 @pytest.fixture(scope="module")
 def campaign():
+    """``(system, result, injections)`` of a dynamic campaign."""
     system = generate_system(GenParams(group_num=2, edge_num=9, bone_num=2, n_requests=1, seed=11))
-    res = run_campaign(system, CampaignConfig(request_id=0, k_max=4))
-    return system, res
+    return system, *observe(run_campaign, system, CampaignConfig(request_id=0, k_max=4))
+
+
+@pytest.fixture(scope="module")
+def static_campaign(campaign):
+    """``(result, injections)`` of a static campaign on the same system."""
+    return observe(run_campaign_static, campaign[0], 0, 3)
 
 
 class TestCampaignProperties:
     def test_revalidation(self, campaign):
-        system, res = campaign
+        system, res, _ = campaign
         for fault in res.valid_faults:
             assert execute(system, 0, set(fault)).failed
 
     def test_oracle_level_minimality(self, campaign):
-        system, res = campaign
+        system, res, _ = campaign
         for fault in res.valid_faults:
             for v in fault:
                 assert not execute(system, 0, set(fault) - {v}).failed
 
     def test_antichain(self, campaign):
-        _, res = campaign
+        _, res, _ = campaign
         sets = [frozenset(f) for f in res.valid_faults]
         for a, b in itertools.combinations(sets, 2):
             assert not a <= b and not b <= a
 
     def test_no_duplicate_injections(self, campaign):
-        _, res = campaign
-        faults = [rec.fault for rec in res.injection_log]
+        _, res, log = campaign
+        faults = [fault for fault, _, _ in log]
         assert len(faults) == len(set(faults))
         assert res.injections == len(faults)
 
     def test_no_superset_of_known_valid_injected(self, campaign):
-        _, res = campaign
+        _, _, log = campaign
         valid_so_far = []
-        for rec in res.injection_log:
-            assert not is_subsumed(rec.fault, valid_so_far)
-            if rec.failed:
-                valid_so_far.append(rec.fault)
+        for fault, failed, _ in log:
+            assert not is_subsumed(fault, valid_so_far)
+            if failed:
+                valid_so_far.append(fault)
 
     def test_stale_candidates_never_injected(self, campaign):
-        # every injected candidate satisfies the formula as it stood then;
-        # conjoin only appends, so that formula is a prefix of the final one
-        _, res = campaign
-        for rec in res.injection_log:
-            prefix = make_cnf(res.final_cnf.clauses[: rec.formula_m], res.final_cnf.n_vars)
-            assert is_satisfied(prefix, set(rec.fault))
+        # every injected candidate satisfies the formula as it stood then:
+        # the bootstrap path plus the paths of the survivors before it
+        system, res, log = campaign
+        phi = make_cnf([execute(system, 0, ()).observed_path], system.n_vars)
+        for fault, failed, path in log:
+            assert is_satisfied(phi, set(fault))
+            if not failed:
+                phi = conjoin(phi, path)
+        assert phi == res.final_cnf
 
     def test_history_covers_all_injections(self, campaign):
-        _, res = campaign
-        assert len(res.injection_log) == res.injections
-        assert [rec.fault for rec in res.injection_log if rec.failed] == list(res.valid_faults)
+        _, res, log = campaign
+        assert len(log) == res.injections
+        assert [fault for fault, failed, _ in log if failed] == list(res.valid_faults)
 
 
 class TestStaticBaseline:

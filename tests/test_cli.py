@@ -58,6 +58,12 @@ def solve_capped(argv, limit, timeout=60):
     )
 
 
+def csv_rows(path):
+    """The rows of a CSV file as dicts; the file is closed again."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def gen_system(tmp_path, capsys, **overrides):
     args = dict(groups=2, edges=50, bones=2, requests=3, seed=7)
     args.update(overrides)
@@ -134,6 +140,23 @@ class TestSolve:
         code, _, err = run(["solve", "--cnf", str(cnf), "--k", "1"], capsys)
         assert code == EXIT_INPUT
         assert "negative literal" in err
+
+    def test_reader_closing_the_pipe_is_not_an_error(self, tmp_path):
+        # ``solve ... | head -1`` on about 2 MB of output
+        f = tmp_path / "r.cnf"
+        f.write_text(serialize_cnf(request_cnf(2, 50, 2)))
+        with subprocess.Popen(
+            [sys.executable, "-m", "minfault.cli", "solve", "--cnf", str(f), "--k", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first.endswith(b"\n")
+        assert code == EXIT_OK
+        assert err == b""
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["solve", "--cnf", str(tmp_path / "nope.cnf"), "--k", "1"], capsys)
@@ -258,7 +281,7 @@ class TestInject:
             capsys,
         )
         assert code == EXIT_OK, err
-        rows = list(csv.DictReader((out_dir / "summary.csv").open()))
+        rows = csv_rows(out_dir / "summary.csv")
         assert len(rows) == 3
         for row in rows:
             assert int(row["valid_faults"]) == 4
@@ -277,8 +300,8 @@ class TestInject:
                 capsys,
             )
             assert code == EXIT_OK, err
-        dyn = {r["request_id"]: r for r in csv.DictReader((tmp_path / "dyn" / "summary.csv").open())}
-        stat = {r["request_id"]: r for r in csv.DictReader((tmp_path / "stat" / "summary.csv").open())}
+        dyn = {r["request_id"]: r for r in csv_rows(tmp_path / "dyn" / "summary.csv")}
+        stat = {r["request_id"]: r for r in csv_rows(tmp_path / "stat" / "summary.csv")}
         assert set(dyn) == set(stat)
         for rid in dyn:
             assert dyn[rid]["valid_faults"] == stat[rid]["valid_faults"]
@@ -413,7 +436,7 @@ def without_timings(path):
     """A campaign file's document or ``summary.csv``'s rows, timing fields dropped."""
     if path.suffix == ".csv":
         return [{k: v for k, v in row.items() if not k.endswith("_time_ms")}
-                for row in csv.DictReader(path.open())]
+                for row in csv_rows(path)]
     doc = json.loads(path.read_text())
     del doc["timings_ms"]
     return doc
@@ -688,8 +711,8 @@ class TestDeterminism:
             assert da == db
         # CSV summaries match once the timing columns are dropped
         for fname in ("camp/summary.csv",):
-            rows_a = list(csv.DictReader((a / fname).open()))
-            rows_b = list(csv.DictReader((b / fname).open()))
+            rows_a = csv_rows(a / fname)
+            rows_b = csv_rows(b / fname)
             for ra, rb in zip(rows_a, rows_b):
                 for key in ra:
                     if not key.endswith("_time_ms"):

@@ -489,7 +489,10 @@ def reinjected_afvr(system, faults_by_request, selected):
         for rid, faults in sorted(faults_by_request.items())
         if faults
     ]
-    return sum(fractions) / len(fractions) if fractions else 0.0
+    total = 0.0  # left to right, as ``budget_sweep`` sums: ``sum`` rounds differently on 3.12+
+    for fraction in fractions:
+        total += fraction
+    return total / len(fractions) if fractions else 0.0
 
 
 def assert_afvr_matches_reinjection(system, faults, high, budgets):
@@ -512,6 +515,15 @@ class TestAfvrOracle:
     def test_campaign_faults_fleet(self, fleet):
         system, faults = fleet
         assert_afvr_matches_reinjection(system, faults, [0], [8, 16, 32, 64])
+
+    def test_fleet_golden_on_every_python(self, fleet):
+        # ``harden --high auto-topfreq:1`` (request 2) on the fleet system; a
+        # compensated sum (Python 3.12+ ``sum``, or ``math.fsum``) gives ...014 at b=16
+        system, faults = fleet
+        levels = budget_sweep(system, faults, [2], [8, 16, 32, 64]).levels
+        assert [lv.afvr for lv in levels] == [
+            0.8162251655629139, 0.6432119205298013, 0.33342531272994846, 0.0,
+        ]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hand_made_faults(self, seed):
