@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -414,6 +415,7 @@ def cmd_harden(args) -> int:
     )
     manifest.add_input(args.system, data)
 
+    t0 = time.perf_counter()
     result_files = sorted(args.campaign_dir.glob("request_*.json"))
     if not result_files:
         raise SchemaError(f"no request_*.json files in {args.campaign_dir}")
@@ -427,8 +429,11 @@ def cmd_harden(args) -> int:
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
         # ``type(x) is int`` also refuses JSON's true and false
-        if type(rid) is not int or {type(v) for fault in faults for v in fault} - {int}:
+        if type(rid) is not int or set(map(type, chain.from_iterable(faults))) - {int}:
             raise SchemaError(f"{f}: request_id and fault variables must be integers")
+        variables = set(chain.from_iterable(faults))
+        if not all(faults) or variables and (min(variables) < 0 or max(variables) >= system.n_vars):
+            raise SchemaError(f"{f}: a fault is empty or holds a variable outside [0, {system.n_vars})")
         if rid in faults_by_request:
             raise SchemaError(f"{f}: a second campaign result for request {rid}")
         # run identity hashes the fault set, not the bytes: neither
@@ -436,6 +441,7 @@ def cmd_harden(args) -> int:
         semantic = repr((rid, sorted(faults))).encode()
         faults_by_request[rid] = faults
         manifest.add_input(f, raw, identity=semantic)
+    manifest.timings_ms["read"] = (time.perf_counter() - t0) * 1e3
 
     high = _parse_high(args.high, system)
     for rid in high:

@@ -14,24 +14,27 @@ greedy, as in Khuller, Moss & Naor's seeded scheme for budgeted maximum
 coverage (1999), and the plan is flagged approximate.
 
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
-set when clause instance i contains it.  Instances are numbered across
-requests, so a fault shared by two requests counts twice.  A sweep builds
-each side's index once and runs one hard-cover search, at its largest
-budget; each level takes that search's covers of its size or less, which
-are exactly its own minimal covers.  The greedy is lazy (Minoux, 1978),
-with the same picks and ties as a full rescan at every pick.
+set when clause instance i contains it.  Each request's masks are shifted
+into place by one merge, so a fault shared by two requests counts twice.
+A sweep builds a request's masks from its faults, fault i as bit i, and
+again over its distinct faults only when one is listed twice: coverage
+counts a repeated fault once, AFVR once per listing.  It runs one
+hard-cover search, at its largest budget; each level takes that search's
+covers of its size or less, which are exactly its own minimal covers.
+The greedy is lazy (Minoux, 1978), with the same picks and ties as a
+full rescan at every pick.
 
 The sweep's residual-failure metric (AFVR) applies the execution rule of
-:func:`minfault.simulation.execute` with bitmasks over each request's
-known faults: a fault still fails when every path of the request holds
-one of its non-immune variables.
+:func:`minfault.simulation.execute` with those bitmasks: a fault still
+fails when every path of the request holds one of its non-immune variables.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .cnf import MonotoneCnf, make_cnf
 from .errors import InfeasibleBudgetError, ParameterError
@@ -88,22 +91,38 @@ def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
     return make_cnf(valid_faults, n_vars)
 
 
-def _index(formulas: tuple[tuple[int, MonotoneCnf], ...]) -> tuple[dict[int, int], int]:
-    """Index clauses as ``(var -> clause bitmask, clause count)``.
+def _fault_masks(faults: Sequence, n_vars: int) -> dict[int, int]:
+    """``_cover_masks(faults)``, fault i as bit i.  Faults a quick, stricter test refuses go
+    through :func:`build_request_cnf`'s checks, which raise or, for faults like ``(1, True)``, pass."""
+    try:
+        ok = set(map(type, chain.from_iterable(faults))) <= {int} and all(faults)
+    except TypeError:  # a fault that is not iterable
+        ok = False
+    if not ok:
+        build_request_cnf(faults, n_vars)
+    masks = _cover_masks(faults)
+    if min(masks) < 0 or max(masks) >= n_vars:
+        build_request_cnf(faults, n_vars)
+    return masks
 
-    Clause instances are numbered across the formulas in order, one bit
-    each, so a clause shared by two requests counts twice.
-    """
-    clauses = [c for _, cnf in formulas for c in cnf.clauses]
-    return _cover_masks(clauses), len(clauses)
+
+def _index(requests: Iterable[tuple[Mapping[int, int], int]]) -> tuple[dict[int, int], int]:
+    """Merge per-request ``(var -> clause bitmask, clause count)`` pairs into
+    one, each request's bits shifted past the earlier ones', so a clause
+    shared by two requests counts twice."""
+    out: dict[int, int] = {}
+    n = 0
+    for masks, count in requests:
+        for v, m in masks.items():
+            out[v] = out.get(v, 0) | m << n
+        n += count
+    return out, n
 
 
-def _path_holders(paths, faults) -> list[list[tuple[int, int]]]:
-    """Per path, ``(var, bitmask of the faults holding it)`` for each of its
-    variables that some fault holds.  Fault i is bit i, so a fault listed
-    twice counts twice."""
-    holders = _cover_masks(faults)
-    return [[(v, holders[v]) for v in path if v in holders] for path in paths]
+def _indexes(instance: HardeningInstance) -> list[tuple[dict[int, int], int]]:
+    """The hard and the soft index of ``instance``'s formulas."""
+    return [_index((_cover_masks(cnf.clauses), cnf.m) for _, cnf in side)
+            for side in (instance.hard, instance.soft)]
 
 
 def _uncovered(index: tuple[Mapping[int, int], int], selected) -> int:
@@ -119,15 +138,9 @@ def _plan(selected, hard, soft, feasible, exact) -> HardeningPlan:
     sel = tuple(sorted(selected))
     n_soft = soft[1]
     covered = n_soft - _uncovered(soft, sel).bit_count()
-    return HardeningPlan(
-        selected=sel,
-        hard_satisfied=not _uncovered(hard, sel),
-        soft_covered=covered,
-        soft_total=n_soft,
-        cr=covered / n_soft if n_soft else 1.0,
-        feasible=feasible,
-        exact=exact,
-    )
+    return HardeningPlan(selected=sel, hard_satisfied=not _uncovered(hard, sel),
+                         soft_covered=covered, soft_total=n_soft,
+                         cr=covered / n_soft if n_soft else 1.0, feasible=feasible, exact=exact)
 
 
 def _plan_key(covered: int, selection) -> tuple:
@@ -200,10 +213,9 @@ def _greedy_cover(masks: Mapping[int, int], uncovered: int, budget_left: int) ->
     return picks
 
 
-def _hard_covers(hard, n_vars: int, budget: int) -> list[tuple[int, ...]]:
-    """Minimal hard covers within ``budget``, in lexicographic order."""
-    hard_cnf = make_cnf([c for _, cnf in hard for c in cnf.clauses], n_vars)
-    return enumerate_minimal(hard_cnf, SolverConfig(max_size=budget))
+def _hard_covers(clauses, n_vars: int, budget: int) -> list[tuple[int, ...]]:
+    """Minimal covers of the distinct hard ``clauses`` within ``budget``, in lexicographic order."""
+    return enumerate_minimal(MonotoneCnf(tuple(clauses), n_vars), SolverConfig(max_size=budget))
 
 
 def _best_plan(hard, soft, covers, budget: int) -> HardeningPlan | None:
@@ -217,11 +229,8 @@ def _best_plan(hard, soft, covers, budget: int) -> HardeningPlan | None:
     if not covers:
         return None
     soft_masks, n_soft = soft
-    exact = (
-        len(soft_masks) <= _EXACT_MAX_CANDIDATES
-        and n_soft <= _EXACT_MAX_CLAUSES
-        and len(covers) <= _EXACT_MAX_COVERS
-    )
+    exact = (len(soft_masks) <= _EXACT_MAX_CANDIDATES and n_soft <= _EXACT_MAX_CLAUSES
+             and len(covers) <= _EXACT_MAX_COVERS)
     keys = []
     for cover in covers:
         residual = budget - len(cover)
@@ -238,10 +247,8 @@ def _greedy_plan(hard, soft, budget: int) -> HardeningPlan:
     picks = _greedy_cover(hard[0], _uncovered(hard, ()), budget)
     budget_left = budget - len(picks)
     hard_ok = not _uncovered(hard, picks)
-
     if hard_ok and budget_left > 0:
         picks += _greedy_cover(soft[0], _uncovered(soft, picks), budget_left)
-
     return _plan(picks, hard, soft, feasible=hard_ok, exact=False)
 
 
@@ -254,12 +261,11 @@ def optimize(instance: HardeningInstance) -> HardeningPlan:
     Above the size limits each cover is extended greedily and the plan is
     flagged via ``exact=False``.
     """
-    covers = _hard_covers(instance.hard, instance.n_vars, instance.budget)
-    plan = _best_plan(_index(instance.hard), _index(instance.soft), covers, instance.budget)
+    hard = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
+    covers = _hard_covers(hard.clauses, instance.n_vars, instance.budget)
+    plan = _best_plan(*_indexes(instance), covers, instance.budget)
     if plan is None:
-        raise InfeasibleBudgetError(
-            f"hard clauses unsatisfiable within budget {instance.budget}"
-        )
+        raise InfeasibleBudgetError(f"hard clauses unsatisfiable within budget {instance.budget}")
     return plan
 
 
@@ -269,7 +275,7 @@ def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
     Never raises on a too-small budget; the returned plan carries
     ``feasible=False`` when the hard side could not be fully covered.
     """
-    return _greedy_plan(_index(instance.hard), _index(instance.soft), instance.budget)
+    return _greedy_plan(*_indexes(instance), instance.budget)
 
 
 def budget_sweep(
@@ -281,9 +287,9 @@ def budget_sweep(
 ) -> BudgetSweep:
     """Evaluate selection plans across increasing budgets.
 
-    Both indexes are built once.  The exact method runs one hard-cover
-    search, at the largest budget, and hands each level the covers that
-    fit it; each level's plan follows :func:`optimize`'s rule.
+    The exact method runs one hard-cover search, at the largest budget,
+    and hands each level the covers that fit it; each level's plan follows
+    :func:`optimize`'s rule.
 
     Coverage metrics come from the plans.  The residual-validity metric
     (AFVR) is the mean over requests of the share of known faults that
@@ -291,10 +297,11 @@ def budget_sweep(
     rule without injecting: a fault still fails when every path of the
     request holds one of its non-immune variables.  The rule needs no
     property of the faults: they may be non-minimal, non-failing or
-    repeated.  Requests with no known faults contribute neither clauses
-    nor an averaging term, but their ids must still name requests of the
-    system.  Marginal gain is undefined at the first level and is taken
-    against the last feasible level when an infeasible one sits in
+    repeated, and a repeated fault counts once for coverage but once per
+    listing for AFVR.  Requests with no known faults contribute neither
+    clauses nor an averaging term, but their ids must still name requests
+    of the system.  Marginal gain is undefined at the first level and is
+    taken against the last feasible level when an infeasible one sits in
     between.
     """
     if method not in ("exact", "greedy"):
@@ -308,28 +315,23 @@ def budget_sweep(
     for rid in [*high_priority, *faults_by_request]:
         system.request(rid)  # raises UnknownRequestError
 
-    active = {
-        rid: faults for rid, faults in sorted(faults_by_request.items()) if faults
-    }
+    active = {rid: faults for rid, faults in sorted(faults_by_request.items()) if faults}
     high = set(high_priority)
-    hard = tuple(
-        (rid, build_request_cnf(faults, system.n_vars))
-        for rid, faults in active.items()
-        if rid in high
-    )
-    soft = tuple(
-        (rid, build_request_cnf(faults, system.n_vars))
-        for rid, faults in active.items()
-        if rid not in high
-    )
-
-    hard_index, soft_index = _index(hard), _index(soft)
+    holders: dict[int, dict[int, int]] = {}  # request -> its faults' masks
+    sides: dict[bool, list] = {True: [], False: []}  # hard, soft: (clause masks, count)
+    hard_clauses: list[frozenset[int]] = []
+    # the hard side first: a malformed fault raises what the hard formulas raised
+    for rid, faults in sorted(active.items(), key=lambda item: item[0] not in high):
+        holders[rid] = _fault_masks(faults, system.n_vars)
+        clauses = dict.fromkeys(map(frozenset, faults))  # a fault listed twice is one clause
+        masks = holders[rid] if len(clauses) == len(faults) else _cover_masks(clauses)
+        sides[rid in high].append((masks, len(clauses)))
+        if rid in high:
+            hard_clauses += clauses
+    hard_index, soft_index = _index(sides[True]), _index(sides[False])
     if method == "exact":
         # the minimal covers within each budget are this search's covers of that size or less
-        covers = _hard_covers(hard, system.n_vars, budgets[-1])
-    path_holders = {
-        rid: _path_holders(system.request(rid).paths, faults) for rid, faults in active.items()
-    }
+        covers = _hard_covers(dict.fromkeys(hard_clauses), system.n_vars, budgets[-1])
     levels: list[SweepLevel] = []
     prev: tuple[int, int] | None = None  # (budget, soft_covered) of last feasible level
     for b in budgets:
@@ -351,16 +353,14 @@ def budget_sweep(
         total = 0.0
         for rid, faults in active.items():
             still = (1 << len(faults)) - 1
-            for holders in path_holders[rid]:
+            for path in system.request(rid).paths:
                 broken = 0  # faults with a non-immune variable on this path
-                for v, faults_holding in holders:
+                for v in path:
                     if v not in immune:
-                        broken |= faults_holding
+                        broken |= holders[rid].get(v, 0)
                 still &= broken
             total += still.bit_count() / len(faults)
         afvr = total / len(active) if active else 0.0
-        levels.append(
-            SweepLevel(budget=b, plan=plan, cr=plan.cr, mcg=mcg, afvr=afvr, feasible=True)
-        )
+        levels.append(SweepLevel(budget=b, plan=plan, cr=plan.cr, mcg=mcg, afvr=afvr, feasible=True))
         prev = (b, plan.soft_covered)
     return BudgetSweep(levels=tuple(levels))

@@ -18,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import request_cnf
+import minfault.campaign as campaign
 import minfault.cli as cli
+import minfault.hardening as hardening
+import minfault.solver as solver
 from minfault.campaign import CampaignConfig, run_campaign, run_campaign_static
 from minfault.cli import (
     EXIT_INFEASIBLE,
@@ -442,10 +445,10 @@ def without_timings(path):
     return doc
 
 
-def load_workloads(monkeypatch):
-    """``perfbench/workloads.py``, loaded by file path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def load_perfbench(monkeypatch, name):
+    """``perfbench/<name>.py``, loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # ``dataclass`` looks the defining module up in ``sys.modules``
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -454,7 +457,7 @@ def load_workloads(monkeypatch):
 
 
 def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
-    workloads = load_workloads(monkeypatch)
+    workloads = load_perfbench(monkeypatch, "workloads")
     parser = build_parser()
     assert workloads.WORKLOADS
     for w in workloads.WORKLOADS.values():
@@ -462,6 +465,22 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
         assert parser.parse_args(workloads.gen_argv(w, 1, files)).command == "gen"
         for argv in workloads.pipeline_argvs(w, files):
             assert parser.parse_args(argv).command == argv[0]
+
+
+def test_tracer_wraps_names_that_exist_and_restores_them(monkeypatch):
+    # the benchmark's tracer wraps package attributes by name: a renamed or
+    # deleted one makes ``install`` raise AttributeError
+    tracer = load_perfbench(monkeypatch, "tracing").Tracer()
+    modules = [cli, campaign, hardening, solver]
+    before = [dict(vars(m)) for m in modules]
+    try:
+        tracer.install()
+        wrapped = {(m.__name__, k) for m, old in zip(modules, before)
+                   for k, v in vars(m).items() if old.get(k) is not v}
+    finally:
+        tracer.uninstall()
+    assert {("minfault.hardening", "optimize"), ("minfault.campaign", "execute")} <= wrapped
+    assert [dict(vars(m)) for m in modules] == before
 
 
 def run_pipeline(tmp_path, capsys, method="exact", budgets="2,4,6,8"):
@@ -617,6 +636,18 @@ class TestHardenInputs:
         code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
         assert code == EXIT_INPUT
         assert "request_2.json: request_id and fault variables must be integers" in err
+
+    @pytest.mark.parametrize("fault", ["empty", "negative", "n_vars"])
+    def test_fault_outside_universe(self, tmp_path, campaign_docs, capsys, fault):
+        system, docs = campaign_docs
+        n_vars = load_system(system).n_vars
+        doc = json.loads(json.dumps(docs["request_2.json"]))
+        doc["valid_faults"][-1]["vars"] = {"empty": [], "negative": [-1], "n_vars": [n_vars]}[fault]
+        write_campaign(tmp_path / "camp", dict(docs, **{"request_2.json": doc}))
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_INPUT
+        assert f"request_2.json: a fault is empty or holds a variable outside [0, {n_vars})" in err
+        assert sorted(os.listdir(tmp_path)) == ["camp"]
 
     def test_duplicate_request_id(self, tmp_path, campaign_docs, capsys):
         system, docs = campaign_docs

@@ -10,6 +10,7 @@ import minfault.hardening as hardening
 from minfault.campaign import CampaignConfig, run_campaign
 from minfault.errors import (
     InfeasibleBudgetError,
+    InvalidClauseError,
     ParameterError,
     UnknownRequestError,
     VariableRangeError,
@@ -465,6 +466,20 @@ class TestBudgetSweep:
         with pytest.raises(ParameterError):
             budget_sweep(system, faults, high, budgets=[1, 2], method="magic")
 
+    @pytest.mark.parametrize("bad, error", [
+        ((True,), VariableRangeError), ((1.0,), VariableRangeError), ((0, -1), VariableRangeError),
+        ("n_vars", VariableRangeError), ((), InvalidClauseError),
+    ], ids=["bool", "float", "negative", "n_vars", "empty"])
+    @pytest.mark.parametrize("high", [[0], [1]], ids=["high", "soft"])
+    def test_malformed_fault_raises(self, bad, error, high):
+        # each bad fault follows a (1,) in request 0, so a value equal to 1 finds it indexed
+        system, faults, _ = _sweep_inputs()
+        bad = (system.n_vars,) if bad == "n_vars" else bad
+        faults = {**faults, 0: [(1,), *faults[0], bad]}
+        for method in ("exact", "greedy"):
+            with pytest.raises(error):
+                budget_sweep(system, faults, high, [1, 4], method=method)
+
     def test_unknown_high_priority_id(self):
         system, faults, _ = _sweep_inputs()
         with pytest.raises(UnknownRequestError):
@@ -644,6 +659,19 @@ def fresh_sweep(system, faults, high, budgets, method):
     ]
 
 
+def repeated_faults(system):
+    """Hand-made faults: each request lists one fault twice and one reversed,
+    its tuples are unsorted, and request 1 also lists one of request 0's."""
+    rng = random.Random(0xF1)
+    faults = {}
+    for req in system.requests:
+        mine = sorted(set().union(*req.paths))
+        own = [tuple(rng.sample(mine, rng.randint(1, 4))) for _ in range(8)]
+        faults[req.request_id] = own + [own[0], own[1][::-1]]
+    faults[1].append(faults[0][2])
+    return faults
+
+
 def sweep_plans(system, faults, high, budgets, method):
     return [lv.plan for lv in budget_sweep(system, faults, high, budgets, method=method).levels]
 
@@ -654,19 +682,24 @@ class TestSweepReuse:
     def test_sweep_equals_fresh_levels(self):
         seen = set()
         budgets = [0, 1, 2, 3, 5, 8]
+        inputs = []
         for g, e, b, n, share in [(2, 9, 2, 4, 0.5), (2, 20, 3, 6, 0.3)]:
             for seed in (1, 2):
                 system = generate_system(GenParams(
                     group_num=g, edge_num=e, bone_num=b, n_requests=n, shared_api_fraction=share, seed=seed,
                 ))
-                faults = _campaign_faults(system, k_max=2)
-                for high in ([], [0], [0, 2]):
-                    for method in ("exact", "greedy"):
-                        got = sweep_plans(system, faults, high, budgets, method)
-                        assert got == fresh_sweep(system, faults, high, budgets, method)
-                        seen |= {"empty hard" if not high else "hard"}
-                        seen |= {"infeasible" if p is None else "exact" if p.exact else "approx" for p in got}
-        assert seen == {"empty hard", "hard", "infeasible", "exact", "approx"}
+                inputs.append((system, _campaign_faults(system, k_max=2)))
+        # with high [0], the fault request 1 shares is hard and soft at once
+        inputs.append((inputs[0][0], repeated_faults(inputs[0][0])))
+        for system, faults in inputs:
+            for high in ([], [0], [0, 2]):
+                for method in ("exact", "greedy"):
+                    got = sweep_plans(system, faults, high, budgets, method)
+                    assert got == fresh_sweep(system, faults, high, budgets, method)
+                    seen |= {"empty hard" if not high else "hard"}
+                    seen |= {"infeasible" if p is None else "exact" if p.exact else "approx" for p in got}
+                    seen |= {"repeated" for fs in faults.values() if len(set(map(frozenset, fs))) < len(fs)}
+        assert seen == {"empty hard", "hard", "infeasible", "exact", "approx", "repeated"}
 
     def test_one_cover_search_per_exact_sweep(self, monkeypatch):
         searches = 0
