@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -422,12 +423,18 @@ def cmd_harden(args) -> int:
     faults_by_request: dict[int, list[tuple[int, ...]]] = {}
     for f in result_files:
         raw = f.read_bytes()
+        # everything decoded here stays alive, so a collection would free nothing
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             doc = json.loads(raw)
             rid = doc["request_id"]
             faults = [tuple(entry["vars"]) for entry in doc["valid_faults"]]
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
+        finally:
+            if collecting:
+                gc.enable()
         # ``type(x) is int`` also refuses JSON's true and false
         if type(rid) is not int or set(map(type, chain.from_iterable(faults))) - {int}:
             raise SchemaError(f"{f}: request_id and fault variables must be integers")

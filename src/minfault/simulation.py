@@ -78,6 +78,10 @@ class ExecutionOutcome:
     observed_path: frozenset[int] | None
 
 
+# every failed injection returns this one outcome; outcomes are frozen
+_FAILED = ExecutionOutcome(failed=True, observed_path=None)
+
+
 @dataclass(frozen=True)
 class SimulatedSystem:
     requests: tuple[RequestSpec, ...]
@@ -236,9 +240,9 @@ def execute(
     if immune:
         effective.difference_update(immune)
     for path in req.paths:
-        if not path & effective:
+        if path.isdisjoint(effective):
             return ExecutionOutcome(failed=False, observed_path=path)
-    return ExecutionOutcome(failed=True, observed_path=None)
+    return _FAILED
 
 
 def ground_truth_paths(system: SimulatedSystem, request_id: int) -> list[frozenset[int]]:

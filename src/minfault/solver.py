@@ -16,6 +16,13 @@ It prunes with the disjoint-clause lower bound (Gainer-Dewar &
 Vera-Licona, SIAM J. Discrete Math. 31, 2017): a set of pairwise-disjoint
 uncovered clauses needs as many more variables.
 
+A node that may add only one more variable finds its leaves without
+branching: they are the unbanned variables that lie in every uncovered
+clause, the AND of those clauses' variable masks, and it keeps those
+that leave every chosen variable a crit clause.  Path formulas have
+long clauses and few such variables, so most last-level nodes end after
+a few mask ANDs.
+
 ``iter_sorted_blocks`` also collapses twin variables, those occurring in
 exactly the same clauses, a reduction from the same survey.  It is exact:
 a minimal set holds at most one variable of each twin class (two twins
@@ -98,7 +105,10 @@ def iter_minimal(
     reached exactly once.  A node with more than one variable left is
     skipped when a greedy packing of pairwise-disjoint uncovered clauses
     (lowest index first) needs more variables than remain: each such
-    clause needs a variable of its own.
+    clause needs a variable of its own.  A node with one variable left
+    yields its leaves directly, lowest first: the unbanned variables in
+    the intersection of the uncovered clauses that keep every crit
+    clause.  Order and counters are those of pushing and popping them.
 
     Each assignment is an ascending tuple; they come in search order, not
     sorted, and only as fast as they are pulled.  The empty formula
@@ -120,13 +130,20 @@ def _search(
     if maxd == 0:
         return
     m = len(cands)
-    # clauses sharing no variable with clause i, as a mask
+    # clauses sharing no variable with clause i, as a mask; clause i's
+    # variables, as a mask over variable ids; each variable's cover mask
     apart = []
+    members = []
+    cover: dict[int, int] = {}
     for cs in cands:
         clash = 0
-        for cmask, _ in cs:
+        vmask = 0
+        for cmask, v in cs:
             clash |= cmask
+            vmask |= 1 << v
+            cover[v] = cmask
         apart.append(~clash)
+        members.append(vmask)
     # (uncovered clauses, banned variables as a bitmask, chosen variables,
     #  crit mask of each chosen variable)
     stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << m) - 1, 0, (), ())]
@@ -137,18 +154,36 @@ def _search(
             yield tuple(sorted(chosen))
             continue
         left = maxd - len(chosen)
-        if left > 1:
-            need = 0
+        if left == 1:
+            counters.expansions += 1
+            # the leaves are the unbanned variables in every uncovered
+            # clause that leave each chosen variable a crit clause; lowest
+            # first, the order in which pushed children would pop
+            common = ~banned
             rest = u
-            while rest and need <= left:
-                need += 1
-                rest &= apart[(rest & -rest).bit_length() - 1]
-            if need > left:
-                continue
-        # a child at depth max_size is pushed only if it covers everything
+            while rest and common:
+                low = rest & -rest
+                common &= members[low.bit_length() - 1]
+                rest ^= low
+            while common:
+                low = common & -common
+                common ^= low
+                v = low.bit_length() - 1
+                keep = ~cover[v]
+                if all([c & keep for c in crit]):
+                    counters.pushes += 1
+                    counters.leaf_hits += 1
+                    yield tuple(sorted(chosen + (v,)))
+            continue
+        need = 0
+        rest = u
+        while rest and need <= left:
+            need += 1
+            rest &= apart[(rest & -rest).bit_length() - 1]
+        if need > left:
+            continue
         counters.expansions += 1
         i = (u & -u).bit_length() - 1
-        last_level = left == 1
         tried = banned
         children = []
         for cmask, v in cands[i]:
@@ -159,8 +194,6 @@ def _search(
             tried |= vbit
             rest = ~cmask
             nu = u & rest
-            if nu and last_level:
-                continue
             child_crit = [c & rest for c in crit]
             if not all(child_crit):
                 continue  # v covers every crit clause of some chosen variable

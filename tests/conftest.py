@@ -26,10 +26,15 @@ def compact_cnf(paths):
     return make_cnf(local_paths, len(to_local)), to_global
 
 
+def request_system(group_num, edge_num, bone_num):
+    """An unshared generated system of one request (seed 1)."""
+    return generate_system(GenParams(group_num=group_num, edge_num=edge_num,
+                                     bone_num=bone_num, n_requests=1, seed=1))
+
+
 def request_cnf(group_num, edge_num, bone_num):
-    """The formula of request 0 of an unshared generated system (seed 1)."""
-    system = generate_system(GenParams(group_num=group_num, edge_num=edge_num,
-                                       bone_num=bone_num, n_requests=1, seed=1))
+    """The formula of request 0 of :func:`request_system`."""
+    system = request_system(group_num, edge_num, bone_num)
     return make_cnf(system.request(0).paths, system.n_vars)
 
 

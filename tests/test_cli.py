@@ -673,6 +673,35 @@ class TestHardenInputs:
         assert "no request with id 7" in err
         assert sorted(os.listdir(tmp_path)) == ["camp"]
 
+    @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
+    def test_collector_left_as_found(self, tmp_path, campaign_docs, capsys, monkeypatch,
+                                     malformed):
+        # the read pauses the cyclic collector while it decodes each file
+        # (campaign files are decoded from bytes, the system file from text)
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", docs)
+        if malformed:
+            (tmp_path / "camp" / "request_1.json").write_text("{")
+        paused = []
+        decode = json.loads
+
+        def spy(doc, *args, **kwargs):
+            if isinstance(doc, bytes):
+                paused.append(not gc.isenabled())
+            return decode(doc, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        want = EXIT_INPUT if malformed else EXIT_OK
+        assert run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)[0] == want
+        assert paused == [True] * (2 if malformed else 3)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert run(harden_argv(system, tmp_path / "camp", tmp_path / "q.json"), capsys)[0] == want
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_deeply_nested_document(self, tmp_path, campaign_docs, capsys):
         system, docs = campaign_docs
         write_campaign(tmp_path / "camp", docs)

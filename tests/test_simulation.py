@@ -240,6 +240,12 @@ class TestExecute:
         assert execute(system, 0, {cache, db}).failed
         assert execute(system, 0, {shared}).failed
 
+    def test_failures_share_one_outcome(self):
+        system = tiny_system([{0}, {1}], 2)
+        first = execute(system, 0, {0, 1})
+        assert first.failed and first.observed_path is None
+        assert execute(system, 0, [1, 0]) is first
+
     def test_priority_order(self):
         system = tiny_system([{0}, {1}, {2}], 3)
         assert execute(system, 0, {0}).observed_path == frozenset({1})

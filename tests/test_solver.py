@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monotone_cnfs, request_cnf
+from conftest import monotone_cnfs, request_cnf, request_system
 from minfault.campaign import CampaignConfig, run_campaign
 from minfault.cnf import is_satisfied, make_cnf
 from minfault.errors import FormulaTooLargeError, ParameterError
@@ -244,6 +244,83 @@ class TestIterMinimal:
         assert list(iter_minimal(cnf, SolverConfig(max_size=2), counters)) == []
         assert counters.expansions == 0
         assert enumerate_minimal(cnf, SolverConfig(max_size=3)) == brute_force_minimal(cnf, 3)
+
+
+def mmcs_order(cnf, k):
+    """The sets of at most ``k`` variables a plain recursive MMCS finds, in its order.
+
+    Sets stand in for masks and no packing bound prunes.  It branches on
+    the first uncovered clause, its variables ascending; a sibling never
+    takes a variable tried before it, and every chosen variable must keep
+    a clause no other chosen variable covers.
+    """
+    clauses = [frozenset(c) for c in cnf.clauses]
+    out = []
+
+    def visit(chosen, banned):
+        uncovered = [c for c in clauses if c.isdisjoint(chosen)]
+        if not uncovered:
+            out.append(tuple(sorted(chosen)))
+            return
+        if len(chosen) == k:
+            return
+        tried = set(banned)
+        for v in sorted(uncovered[0] - banned):
+            sibling_banned = set(tried)
+            tried.add(v)
+            now = chosen | {v}
+            if all(any(c & now == {w} for c in clauses) for w in now):
+                visit(now, sibling_banned)
+
+    visit(frozenset(), set())
+    return out
+
+
+class TestSearchOrder:
+    """``iter_minimal``'s order, on which a campaign's discovery order rests."""
+
+    @given(monotone_cnfs(max_vars=12, max_clauses=8), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=200)
+    def test_order_matches_plain_mmcs(self, cnf, k):
+        assert list(iter_minimal(cnf, SolverConfig(max_size=k))) == mmcs_order(cnf, k)
+
+    @pytest.mark.parametrize(
+        "shape, k, count", [((3, 200, 4), 3, 64), ((4, 100, 3), 4, 81)], ids=["3-200-4", "4-100-3"]
+    )
+    def test_wide_clauses_match_closed_form(self, shape, k, count):
+        # 30- to 140-variable clauses over 388 or 588 variables, beyond
+        # brute force; per group, a minimal fault takes one variable both
+        # its paths share, or a fast-only and a full-only one
+        system = request_system(*shape)
+        req = system.request(0)
+        groups = {}
+        for path, g in zip(req.paths, req.group_of_path):
+            groups.setdefault(g, []).append(path)
+        groups = list(groups.values())
+        # two paths per group, and no variable in two groups
+        assert all(len(paths) == 2 for paths in groups)
+        assert sum(len(a | b) for a, b in groups) == len(frozenset().union(*req.paths))
+        want = set()
+
+        def extend(i, acc):
+            if i == len(groups):
+                want.add(tuple(sorted(acc)))
+                return
+            a, b = groups[i]
+            for v in a & b:
+                extend(i + 1, acc | {v})
+            if len(acc) + 2 + len(groups) - i - 1 <= k:
+                for x in a - b:
+                    for y in b - a:
+                        extend(i + 1, acc | {x, y})
+
+        extend(0, frozenset())
+        counters = SolverCounters()
+        out = list(iter_minimal(make_cnf(req.paths, system.n_vars), SolverConfig(max_size=k),
+                                counters))
+        assert len(out) == len(set(out)) == count
+        assert set(out) == want
+        assert counters.leaf_hits == len(out)
 
 
 @st.composite
