@@ -421,6 +421,7 @@ def cmd_harden(args) -> int:
     if not result_files:
         raise SchemaError(f"no request_*.json files in {args.campaign_dir}")
     faults_by_request: dict[int, list[tuple[int, ...]]] = {}
+    file_of_request: dict[int, Path] = {}
     for f in result_files:
         raw = f.read_bytes()
         # everything decoded here stays alive, so a collection would free nothing
@@ -430,7 +431,7 @@ def cmd_harden(args) -> int:
             doc = json.loads(raw)
             rid = doc["request_id"]
             faults = [tuple(entry["vars"]) for entry in doc["valid_faults"]]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
         finally:
             if collecting:
@@ -441,8 +442,14 @@ def cmd_harden(args) -> int:
         variables = set(chain.from_iterable(faults))
         if not all(faults) or variables and (min(variables) < 0 or max(variables) >= system.n_vars):
             raise SchemaError(f"{f}: a fault is empty or holds a variable outside [0, {system.n_vars})")
-        if rid in faults_by_request:
-            raise SchemaError(f"{f}: a second campaign result for request {rid}")
+        try:
+            system.request(rid)
+        except UnknownRequestError:
+            raise SchemaError(f"{f}: the system has no request with id {rid}") from None
+        if rid in file_of_request:
+            raise SchemaError(
+                f"{f}: a second campaign result for request {rid}, after {file_of_request[rid]}")
+        file_of_request[rid] = f
         # run identity hashes the fault set, not the bytes: neither
         # timing fields nor discovery order may perturb it
         semantic = repr((rid, sorted(faults))).encode()

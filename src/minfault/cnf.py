@@ -53,16 +53,17 @@ class CnfStats:
 
 
 def _check_path(path: AbstractSet[int], n_vars: int, what: str = "clause") -> frozenset[int]:
-    fs = frozenset(path)
-    if not fs:
-        raise InvalidClauseError(f"empty {what} is not allowed")
-    for v in fs:
+    # checked before the set is built, in which True would merge into 1
+    for v in path:
         if not isinstance(v, int) or isinstance(v, bool):
             raise VariableRangeError(f"variable id {v!r} is not an integer")
         if v < 0:
             raise VariableRangeError(f"negative variable id {v}")
         if v >= n_vars:
             raise VariableRangeError(f"variable id {v} out of range for universe of {n_vars}")
+    fs = frozenset(path)
+    if not fs:
+        raise InvalidClauseError(f"empty {what} is not allowed")
     return fs
 
 

@@ -93,7 +93,7 @@ def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
 
 def _fault_masks(faults: Sequence, n_vars: int) -> dict[int, int]:
     """``_cover_masks(faults)``, fault i as bit i.  Faults a quick, stricter test refuses go
-    through :func:`build_request_cnf`'s checks, which raise or, for faults like ``(1, True)``, pass."""
+    through :func:`build_request_cnf`'s checks, which raise on a malformed one."""
     try:
         ok = set(map(type, chain.from_iterable(faults))) <= {int} and all(faults)
     except TypeError:  # a fault that is not iterable

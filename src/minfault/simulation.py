@@ -224,23 +224,19 @@ def execute(
     system: SimulatedSystem,
     request_id: int,
     injected: AbstractSet[int] | Iterable[int],
-    *,
-    immune: AbstractSet[int] = frozenset(),
 ) -> ExecutionOutcome:
     """Serve the request through the first healthy path in priority order.
 
-    A path is broken when it contains an injected, non-immune variable.
+    A path is broken when it contains an injected variable.
     The request fails only when every path is broken.
     """
     req = system.request(request_id)
-    effective = set(injected)
-    for v in effective:
+    injected = set(injected)
+    for v in injected:
         if v < 0 or v >= system.n_vars:
             raise VariableRangeError(f"injected variable {v} out of range for universe of {system.n_vars}")
-    if immune:
-        effective.difference_update(immune)
     for path in req.paths:
-        if path.isdisjoint(effective):
+        if path.isdisjoint(injected):
             return ExecutionOutcome(failed=False, observed_path=path)
     return _FAILED
 

@@ -16,12 +16,13 @@ It prunes with the disjoint-clause lower bound (Gainer-Dewar &
 Vera-Licona, SIAM J. Discrete Math. 31, 2017): a set of pairwise-disjoint
 uncovered clauses needs as many more variables.
 
-A node that may add only one more variable finds its leaves without
-branching: they are the unbanned variables that lie in every uncovered
-clause, the AND of those clauses' variable masks, and it keeps those
-that leave every chosen variable a crit clause.  Path formulas have
-long clauses and few such variables, so most last-level nodes end after
-a few mask ANDs.
+The search encodes the clauses once, as bitmasks: each variable's cover
+mask over clause indices, and each clause's variables as a mask over
+variable ids, whose unbanned bits a node branches on.  A node that may
+add only one more variable does not branch: its leaves are the unbanned
+bits of the AND of the uncovered clauses' masks that leave every chosen
+variable a crit clause.  Path formulas have long clauses and few such
+variables, so most last-level nodes end after a few mask ANDs.
 
 ``iter_sorted_blocks`` also collapses twin variables, those occurring in
 exactly the same clauses, a reduction from the same survey.  It is exact:
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .cnf import MonotoneCnf, is_satisfied
@@ -85,30 +86,21 @@ def _cover_masks(clauses: Iterable[Iterable[int]]) -> dict[int, int]:
     return cover
 
 
-def _clause_candidates(cnf: MonotoneCnf) -> list[list[tuple[int, int]]]:
-    """Per clause, ``(coverage mask, variable)`` for each of its variables."""
-    cover = _cover_masks(cnf.clauses)
-    return [[(cover[v], v) for v in sorted(c)] for c in cnf.clauses]
-
-
 def iter_minimal(
     cnf: MonotoneCnf, config: SolverConfig, counters: SolverCounters | None = None
 ) -> Iterator[FaultSet]:
     """Yield each subset-minimal satisfying assignment of at most ``max_size`` variables once.
 
     Explicit-stack DFS over uncovered-clause bitmasks (plain ints, so any
-    clause count works); each expansion branches on the lowest-index
-    uncovered clause, lowest variable first.  A child is pushed only if
-    every chosen variable still has a crit clause, one no other chosen
-    variable covers, so each leaf is minimal.  Sibling ``j`` never picks
-    the clause's variables tried before it, so each minimal set is
-    reached exactly once.  A node with more than one variable left is
-    skipped when a greedy packing of pairwise-disjoint uncovered clauses
-    (lowest index first) needs more variables than remain: each such
-    clause needs a variable of its own.  A node with one variable left
-    yields its leaves directly, lowest first: the unbanned variables in
-    the intersection of the uncovered clauses that keep every crit
-    clause.  Order and counters are those of pushing and popping them.
+    clause count works) with the module docstring's crit sets and
+    last-level leaves.  Each expansion branches on the lowest-index
+    uncovered clause, lowest variable first, and a child never picks the
+    clause's variables below its own, so each minimal set is reached
+    once.  A node with more than one variable left is skipped when a
+    greedy packing of pairwise-disjoint uncovered clauses (lowest index
+    first) needs more variables than remain.  A last-level node yields
+    its leaves lowest first, with the order and counters of pushing and
+    popping them.
 
     Each assignment is an ascending tuple; they come in search order, not
     sorted, and only as fast as they are pulled.  The empty formula
@@ -116,37 +108,32 @@ def iter_minimal(
     """
     if counters is None:
         counters = SolverCounters()
-    if cnf.m == 0:
-        counters.leaf_hits += 1
-        yield ()
-        return
-    yield from _search(_clause_candidates(cnf), config.max_size, counters)
+    yield from _search(cnf.clauses, config.max_size, counters)
 
 
 def _search(
-    cands: list[list[tuple[int, int]]], maxd: int, counters: SolverCounters
+    clauses: Sequence[Iterable[int]], maxd: int, counters: SolverCounters
 ) -> Iterator[FaultSet]:
-    """:func:`iter_minimal`'s search, given each clause's ``(coverage mask, variable)`` list."""
-    if maxd == 0:
-        return
-    m = len(cands)
-    # clauses sharing no variable with clause i, as a mask; clause i's
-    # variables, as a mask over variable ids; each variable's cover mask
-    apart = []
+    """:func:`iter_minimal`'s search over ``clauses``, iterables of non-negative variable ids.
+
+    Their one encoding: each variable's cover mask, each clause's variables
+    as a mask over ids (a node branches on its unbanned bits, lowest first),
+    and each clause's mask of the clauses sharing none of them.  With no
+    clauses the root is the one leaf, ``()``.
+    """
+    cover = _cover_masks(clauses)
     members = []
-    cover: dict[int, int] = {}
-    for cs in cands:
-        clash = 0
+    apart = []
+    for c in clauses:
         vmask = 0
-        for cmask, v in cs:
-            clash |= cmask
+        clash = 0
+        for v in c:
             vmask |= 1 << v
-            cover[v] = cmask
-        apart.append(~clash)
+            clash |= cover[v]
         members.append(vmask)
-    # (uncovered clauses, banned variables as a bitmask, chosen variables,
-    #  crit mask of each chosen variable)
-    stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << m) - 1, 0, (), ())]
+        apart.append(~clash)
+    # (uncovered clauses, banned variables' mask, chosen variables, their crit masks)
+    stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << len(members)) - 1, 0, (), ())]
     while stack:
         u, banned, chosen, crit = stack.pop()
         if u == 0:
@@ -184,20 +171,20 @@ def _search(
             continue
         counters.expansions += 1
         i = (u & -u).bit_length() - 1
-        tried = banned
         children = []
-        for cmask, v in cands[i]:
-            vbit = 1 << v
-            if banned & vbit:
-                continue
-            child_banned = tried
-            tried |= vbit
+        free = members[i] & ~banned
+        while free:
+            vbit = free & -free
+            free ^= vbit
+            v = vbit.bit_length() - 1
+            cmask = cover[v]
             rest = ~cmask
             nu = u & rest
             child_crit = [c & rest for c in crit]
             if not all(child_crit):
                 continue  # v covers every crit clause of some chosen variable
             child_crit.append(u & cmask)
+            child_banned = banned | (members[i] & (vbit - 1))
             children.append((nu, child_banned, chosen + (v,), tuple(child_crit)))
         # pushed in reverse so the lowest variable is popped first
         stack.extend(reversed(children))
@@ -236,10 +223,9 @@ def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block
     twins: dict[int, list[int]] = {}
     for v in sorted(cover):
         twins.setdefault(cover[v], []).append(v)
-    masks = list(twins)
     index = {v: i for i, members in enumerate(twins.values()) for v in members}
-    cands = [[(masks[i], i) for i in sorted({index[v] for v in c})] for c in cnf.clauses]
-    sets = list(_search(cands, config.max_size, SolverCounters()))
+    clauses = [{index[v] for v in c} for c in cnf.clauses]
+    sets = list(_search(clauses, config.max_size, SolverCounters()))
     yield from _expand_in_order(list(twins.values()), sets)
 
 

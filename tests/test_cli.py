@@ -10,7 +10,10 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import weakref
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -654,7 +657,8 @@ class TestHardenInputs:
         write_campaign(tmp_path / "camp", dict(docs, **{"request_9.json": docs["request_0.json"]}))
         code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
         assert code == EXIT_INPUT
-        assert "request_9.json: a second campaign result for request 0" in err
+        assert "request_9.json: a second campaign result for request 0, after " in err
+        assert err.rstrip().endswith("request_0.json")
 
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     @pytest.mark.parametrize("budgets", ["0", "0,8"])
@@ -670,7 +674,18 @@ class TestHardenInputs:
             capsys,
         )
         assert code == EXIT_INPUT
-        assert "no request with id 7" in err
+        assert "request_7.json: the system has no request with id 7" in err
+        assert sorted(os.listdir(tmp_path)) == ["camp"]
+
+    def test_not_utf8(self, tmp_path, campaign_docs, capsys):
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", docs)
+        path = tmp_path / "camp" / "request_1.json"
+        raw = path.read_bytes()
+        path.write_bytes(raw[:60] + b"\xff" + raw[61:])
+        code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
+        assert code == EXIT_INPUT
+        assert "request_1.json: malformed campaign result ('utf-8' codec can't decode" in err
         assert sorted(os.listdir(tmp_path)) == ["camp"]
 
     @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
@@ -715,23 +730,41 @@ class TestHardenInputs:
 
     @given(data=st.data())
     @settings(max_examples=80)
-    def test_corrupted_documents(self, tmp_path_factory, campaign_docs, data):
+    def test_corrupted_documents(self, campaign_docs, data):
+        # one file is mutated: a JSON value replaced or deleted, or its bytes
+        # truncated or overwritten
         system, docs = campaign_docs
         docs = json.loads(json.dumps(docs))
         name = data.draw(st.sampled_from(sorted(docs)))
-        parent, key = docs, name
-        # walk down from the document root, then replace or delete the node
-        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
-            node = parent[key]
-            keys = sorted(node) if isinstance(node, dict) else range(len(node))
-            parent, key = node, data.draw(st.sampled_from(keys))
-        if isinstance(parent, dict) and parent is not docs and data.draw(st.booleans()):
-            del parent[key]
-        else:
-            parent[key] = data.draw(json_values)
-        tmp = tmp_path_factory.mktemp("corrupt")
-        write_campaign(tmp / "camp", docs)
-        assert main(harden_argv(system, tmp / "camp", tmp / "p.json")) in (EXIT_OK, EXIT_INPUT)
+        in_bytes = data.draw(st.booleans())
+        if not in_bytes:
+            parent, key = docs, name
+            # walk down from the document root, then replace or delete the node
+            while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+                node = parent[key]
+                keys = sorted(node) if isinstance(node, dict) else range(len(node))
+                parent, key = node, data.draw(st.sampled_from(keys))
+            if isinstance(parent, dict) and parent is not docs and data.draw(st.booleans()):
+                del parent[key]
+            else:
+                parent[key] = data.draw(json_values)
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            write_campaign(base / "camp", docs)
+            if in_bytes:
+                path = base / "camp" / name
+                raw = path.read_bytes()
+                at = data.draw(st.integers(min_value=0, max_value=len(raw)))
+                tail = b"" if data.draw(st.booleans()) else raw[at + 1:]
+                path.write_bytes(raw[:at] + data.draw(st.binary(max_size=3)) + tail)
+            err = StringIO()
+            with redirect_stderr(err):
+                code = main(harden_argv(system, base / "camp", base / "p.json"))
+            assert code in (EXIT_OK, EXIT_INPUT)
+            if code == EXIT_INPUT:
+                assert name in err.getvalue()
+                assert sorted(os.listdir(base)) == ["camp"]
+        assert gc.isenabled()
 
 
 def strip_timings(doc):

@@ -83,6 +83,11 @@ class TestMakeCnf:
         with pytest.raises(VariableRangeError):
             make_cnf([{-1}], 4)
 
+    def test_bool_beside_its_integer_rejected(self):
+        # a set would merge True into 1
+        with pytest.raises(VariableRangeError, match="True is not an integer"):
+            make_cnf([(1, True)], 5)
+
 
 class TestIsSatisfied:
     def test_worked_example_solution(self):

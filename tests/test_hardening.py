@@ -467,9 +467,9 @@ class TestBudgetSweep:
             budget_sweep(system, faults, high, budgets=[1, 2], method="magic")
 
     @pytest.mark.parametrize("bad, error", [
-        ((True,), VariableRangeError), ((1.0,), VariableRangeError), ((0, -1), VariableRangeError),
-        ("n_vars", VariableRangeError), ((), InvalidClauseError),
-    ], ids=["bool", "float", "negative", "n_vars", "empty"])
+        ((True,), VariableRangeError), ((1, True), VariableRangeError), ((1.0,), VariableRangeError),
+        ((0, -1), VariableRangeError), ("n_vars", VariableRangeError), ((), InvalidClauseError),
+    ], ids=["bool", "bool-beside-int", "float", "negative", "n_vars", "empty"])
     @pytest.mark.parametrize("high", [[0], [1]], ids=["high", "soft"])
     def test_malformed_fault_raises(self, bad, error, high):
         # each bad fault follows a (1,) in request 0, so a value equal to 1 finds it indexed
@@ -497,10 +497,10 @@ class TestBudgetSweep:
 
 
 def reinjected_afvr(system, faults_by_request, selected):
-    """Oracle: re-inject every known fault with ``selected`` immune."""
+    """Oracle: re-inject every known fault without its variables in ``selected``."""
     immune = frozenset(selected)
     fractions = [
-        sum(1 for f in faults if execute(system, rid, set(f), immune=immune).failed) / len(faults)
+        sum(1 for f in faults if execute(system, rid, set(f) - immune).failed) / len(faults)
         for rid, faults in sorted(faults_by_request.items())
         if faults
     ]

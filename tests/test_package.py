@@ -1,4 +1,4 @@
-"""The package stays standard-library only."""
+"""The package stays standard-library only and holds no unused definition."""
 
 import ast
 import sys
@@ -22,3 +22,29 @@ def test_modules_import_only_the_standard_library_and_the_package():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in (*sys.stdlib_module_names, "minfault")]
     assert foreign == []
+
+
+def test_every_top_level_definition_is_referenced():
+    # a name counts as used when code names it: the ``__all__`` strings and
+    # ``__init__.py``'s re-exports do not count
+    package = Path(minfault.__file__).parent
+    root = Path(__file__).resolve().parents[1]
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+    assert defined
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            if path == package / "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    assert sorted(f"{defined[name]}: {name}" for name in defined.keys() - used) == []

@@ -261,13 +261,6 @@ class TestExecute:
             if execute(system, 0, s).failed:
                 assert execute(system, 0, s | extra).failed
 
-    def test_immune_variables_do_not_fail(self):
-        system = tiny_system([{0}, {1}], 2)
-        assert execute(system, 0, {0, 1}).failed
-        # hardening either variable restores one healthy path
-        assert not execute(system, 0, {0, 1}, immune={0}).failed
-        assert not execute(system, 0, {0, 1}, immune={1}).failed
-
     def test_unknown_request(self):
         system = tiny_system([{0}], 1)
         with pytest.raises(UnknownRequestError):

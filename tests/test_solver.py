@@ -57,6 +57,16 @@ class TestEnumerateMinimal:
     def test_bound_zero_nonempty_formula(self):
         assert enumerate_minimal(worked_example(), SolverConfig(max_size=0)) == []
 
+    def test_bound_zero_counters(self):
+        # the empty formula's root is its one leaf; a non-empty formula
+        # fails the packing test at the root and touches no counter
+        counters = SolverCounters()
+        assert list(iter_minimal(make_cnf([], 3), SolverConfig(max_size=0), counters)) == [()]
+        assert counters == SolverCounters(leaf_hits=1)
+        counters = SolverCounters()
+        assert list(iter_minimal(worked_example(), SolverConfig(max_size=0), counters)) == []
+        assert counters == SolverCounters()
+
     def test_unit_formula(self):
         assert enumerate_minimal(make_cnf([{A}], 1), SolverConfig(max_size=1)) == [(A,)]
 
