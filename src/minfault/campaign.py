@@ -143,7 +143,12 @@ def _drive(
                     # formula; pull from a search over the new one instead
                     pool = fresh_pool()
         if dynamic:
-            if k >= k_max:
+            # the pool that ran dry was opened on the current formula at k.
+            # No minimal set has more variables than the formula has
+            # clauses, so once k reaches that count every larger bound
+            # would yield the same sets again, all of them valid already
+            if k >= min(k_max, phi.m):
+                k = k_max
                 break
             k += 1
             pool = fresh_pool()

@@ -5,6 +5,14 @@ path (cache-hit style) and a full path (cache-miss style) that share
 ``bone_num`` skeleton variables.  The two paths split ``edge_num`` call
 edges 3:7.  The generated system stands in for a live cluster: the
 campaign probes it only through :func:`execute`.
+
+With ``shared_api_fraction`` F (``gen --share F``), each request remaps
+``round(F * n)`` of its ``n = group_num * (edge_num - 2 * bone_num)``
+non-skeleton APIs onto ``svc-shared`` pool APIs.  Each remapped API draws
+a pool slot with Zipf weights (slot i weighs 1/(i+1)), redrawing slots the
+request already holds, so a request uses a slot at most once.  With
+``count`` remapped APIs per request the pool holds
+``max(1, count, min(_POOL_MAX, count * n_requests))`` slots.
 """
 
 from __future__ import annotations
@@ -14,11 +22,13 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterable, Set as AbstractSet
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import ParameterError, SchemaError, UnknownRequestError, VariableRangeError
 
-# largest per-request share of remapped variables the shared pool must absorb
+# the pool grows with the remapped APIs of all requests up to this many
+# slots, but always holds at least one request's worth
 _POOL_MAX = 64
 
 _FORMAT_TAG = "minfault-system-v1"
@@ -114,99 +124,44 @@ def expected_clause_overlap(group_num: int, edge_num: int, bone_num: int) -> flo
     return 2.0 * bone_num / ((2 * group_num - 1) * edge_num)
 
 
-def _zipf_cumweights(n: int) -> list[float]:
-    acc, out = 0.0, []
-    for i in range(n):
-        acc += 1.0 / (i + 1)
-        out.append(acc)
-    return out
-
-
 def generate_system(params: GenParams) -> SimulatedSystem:
     """Deterministic function of ``params`` (including the seed)."""
     rng = random.Random(params.seed)
-    g, e, b = params.group_num, params.edge_num, params.bone_num
-    fast_excl = params.fast_len - b
-    full_excl = params.full_len - b
+    g, b = params.group_num, params.bone_num
+    fast_excl, full_excl = params.fast_len - b, params.full_len - b
+    width = fast_excl + full_excl
+    # the integer product first: 0.05 * 3 * 30 is 4.500000000000001, not 4.5
+    count = round(params.shared_api_fraction * (g * width))
+    pool_size = max(1, count, min(_POOL_MAX, count * params.n_requests))
+    cum = list(accumulate(1.0 / (i + 1) for i in range(pool_size)))
 
-    # provisional keys: ("req", r, local_index) or ("pool", slot)
-    raw_paths: list[list[list[tuple]]] = []
-    roles: dict[tuple, tuple[str, str, int]] = {}
-    non_skeleton: list[list[tuple]] = []
-    for r in range(params.n_requests):
-        req_paths: list[list[tuple]] = []
-        req_non_skel: list[tuple] = []
-        local = 0
-        for gi in range(g):
-            bones, fasts, fulls = [], [], []
-            for i in range(b):
-                key = ("req", r, local)
-                local += 1
-                roles[key] = (f"svc-r{r}g{gi}", f"/bone{i}", 0)
-                bones.append(key)
-            for i in range(fast_excl):
-                key = ("req", r, local)
-                local += 1
-                roles[key] = (f"svc-r{r}g{gi}", f"/fast{i}", 0)
-                fasts.append(key)
-            for i in range(full_excl):
-                key = ("req", r, local)
-                local += 1
-                roles[key] = (f"svc-r{r}g{gi}", f"/full{i}", 0)
-                fulls.append(key)
-            req_paths.append(bones + fasts)
-            req_paths.append(bones + fulls)
-            req_non_skel.extend(fasts)
-            req_non_skel.extend(fulls)
-        raw_paths.append(req_paths)
-        non_skeleton.append(req_non_skel)
-
-    remap: dict[tuple, tuple] = {}
-    if params.shared_api_fraction > 0.0:
-        per_request = [
-            round(params.shared_api_fraction * len(ns)) for ns in non_skeleton
-        ]
-        total = sum(per_request)
-        pool_size = max(1, max(per_request, default=1), min(_POOL_MAX, total))
-        cum = _zipf_cumweights(pool_size)
-        for r, ns in enumerate(non_skeleton):
-            count = min(per_request[r], pool_size)
-            if count == 0:
-                continue
-            victims = rng.sample(ns, count)
-            taken: set[int] = set()
-            for key in victims:
-                # rejection keeps the remap injective inside one request
-                while True:
-                    slot = bisect_right(cum, rng.random() * cum[-1])
-                    if slot not in taken:
-                        break
-                taken.add(slot)
-                pool_key = ("pool", slot)
-                roles.setdefault(pool_key, ("svc-shared", f"/shared{slot}", 0))
-                remap[(r, key)] = pool_key
-
-    # dense ids in first-use order, shared variables keep one id everywhere
-    ids: dict[tuple, int] = {}
+    # dense ids in first-use order; symbols are unique, so a shared API
+    # keeps one id everywhere and the keys, in order, are the symbol table
+    ids: dict[tuple[str, str, int], int] = {}
+    group_of_path = tuple(i // 2 for i in range(2 * g))
     requests: list[RequestSpec] = []
-    for r, req_paths in enumerate(raw_paths):
-        final_paths = []
-        for path in req_paths:
-            members = []
-            for key in path:
-                key = remap.get((r, key), key)
-                if key not in ids:
-                    ids[key] = len(ids)
-                members.append(ids[key])
-            final_paths.append(frozenset(members))
-        group_of_path = tuple(i // 2 for i in range(2 * g))
-        requests.append(
-            RequestSpec(request_id=r, paths=tuple(final_paths), group_of_path=group_of_path)
-        )
-
-    symbols = [("", "", 0)] * len(ids)
-    for key, vid in ids.items():
-        symbols[vid] = roles[key]
+    for r in range(params.n_requests):
+        # the request's non-skeleton APIs, group by group, fast then full
+        tails = [
+            (f"svc-r{r}g{gi}", f"/{kind}{i}", 0)
+            for gi in range(g)
+            for kind, n in (("fast", fast_excl), ("full", full_excl))
+            for i in range(n)
+        ]
+        taken: set[int] = set()
+        for victim in rng.sample(range(len(tails)), count):
+            # rejection keeps the remap injective inside one request
+            while (slot := bisect_right(cum, rng.random() * cum[-1])) in taken:
+                pass
+            taken.add(slot)
+            tails[victim] = ("svc-shared", f"/shared{slot}", 0)
+        paths = []
+        for gi in range(g):
+            bones = [(f"svc-r{r}g{gi}", f"/bone{i}", 0) for i in range(b)]
+            fast_at, full_at = gi * width, gi * width + fast_excl
+            for path in (tails[fast_at:full_at], tails[full_at:fast_at + width]):
+                paths.append(frozenset(ids.setdefault(sym, len(ids)) for sym in bones + path))
+        requests.append(RequestSpec(request_id=r, paths=tuple(paths), group_of_path=group_of_path))
 
     ranks = list(range(params.n_requests))
     rng.shuffle(ranks)
@@ -215,7 +170,7 @@ def generate_system(params: GenParams) -> SimulatedSystem:
     return SimulatedSystem(
         requests=tuple(requests),
         n_vars=len(ids),
-        symbol_table=tuple(symbols),
+        symbol_table=tuple(ids),
         request_frequency=freq,
     )
 

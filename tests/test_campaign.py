@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import minfault.campaign
-from conftest import compact_cnf, globalize
+from conftest import compact_cnf, globalize, request_system
 from minfault.campaign import (
     CampaignConfig,
     is_subsumed,
@@ -103,6 +103,16 @@ class TestRunCampaign:
         want = oracle_minimal_faults(system, 0, 4)
         assert sorted(res.valid_faults) == want
         assert sum(1 for f in res.valid_faults if len(f) == 2) == 4  # bone pairs
+
+    def test_bound_past_clause_count_stops_escalating(self):
+        # two paths sharing one bone: no minimal fault has more than 2 APIs
+        system = request_system(1, 10, 1)
+        deep = run_campaign(system, CampaignConfig(request_id=0, k_max=10_000))
+        exact = run_campaign(system, CampaignConfig(request_id=0, k_max=deep.final_cnf.m))
+        assert deep.solver_calls < 10
+        assert deep.final_k == 10_000
+        assert deep.valid_faults == exact.valid_faults
+        assert deep.injections == exact.injections == 14
 
     def test_unknown_request_propagates(self):
         system = tiny_system([{0}], 1)

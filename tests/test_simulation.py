@@ -1,6 +1,7 @@
 """Grouped-skeleton generator, execution oracle, and system file format."""
 
 import functools
+import hashlib
 import itertools
 import json
 import operator
@@ -183,6 +184,37 @@ class TestGenerateSystem:
         weights = dict(system.request_frequency)
         assert set(weights) == {0, 1, 2, 3}
         assert all(w >= 0 for w in weights.values())
+
+    def test_share_rule(self):
+        # 0.05 * (3 * 30) rounds to 4 shared APIs per request; the pool
+        # holds max(1, 4, min(64, 4 * 5)) = 20 slots
+        params = GenParams(3, 58, 14, 5, 0.05, 609)
+        system = generate_system(params)
+        slots = set()
+        for req in system.requests:
+            names = [system.symbol_table[v] for v in frozenset().union(*req.paths)]
+            shared = [api for svc, api, _ in names if svc == "svc-shared"]
+            assert len(shared) == len(set(shared)) == 4
+            slots.update(int(api.removeprefix("/shared")) for api in shared)
+        assert slots <= set(range(20))
+        assert len(slots) > 4
+
+    # SHA-256 of system_to_json: the three benchmark workloads' systems at
+    # seeds 1 and 7, every non-skeleton API remapped, and a share whose
+    # count rounds at exactly one half
+    @pytest.mark.parametrize("params,digest", [
+        ((3, 200, 4, 1, 0.0, 1), "544b204e309d274da791449252dc41cc12a672155cb13df0fc1d6a8d559e7c7b"),
+        ((3, 200, 4, 1, 0.0, 7), "544b204e309d274da791449252dc41cc12a672155cb13df0fc1d6a8d559e7c7b"),
+        ((2, 40, 3, 8, 0.3, 1), "aca50dd614b6eba01076d69f4ed6cc9582a9048a1af125502f52646f60bdc63d"),
+        ((2, 40, 3, 8, 0.3, 7), "9d67d24ae75051d04f96cd2e4cc32fc82d66fd3d9b568fc274c85ecf6949e31b"),
+        ((2, 50, 2, 1, 0.0, 1), "3de40c23f5cc349341bd687254f48bb5af5b8745938e38b8896535723143ae6c"),
+        ((2, 50, 2, 1, 0.0, 7), "3de40c23f5cc349341bd687254f48bb5af5b8745938e38b8896535723143ae6c"),
+        ((2, 40, 3, 8, 1.0, 1), "39a9ae1086c16015fb6d9bd1eac3fc644001208068dd2781dc63689ca2dde630"),
+        ((3, 58, 14, 5, 0.05, 609), "9ede132a7a4727d4b6de91cf8d04e0735a794875eaf37c48966f1d06b2aeaeb6"),
+    ])
+    def test_golden_bytes(self, params, digest):
+        text = system_to_json(generate_system(GenParams(*params)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMinimalFaultStructure:
