@@ -287,15 +287,20 @@ def _solution_text(blocks, names: dict[int, str]) -> Iterator[str]:
     """``solve``'s output text for the solver's blocks, one piece per block.
 
     One line per solution: its variables' names separated by spaces, or
-    ``0`` for the empty solution.  A block ``(prefix, lasts)`` is
-    formatted with one join over its shared prefix text.
+    ``0`` for the empty solution.  A block ``(prefix, tails)`` is one
+    join of its tails' text over its shared prefix text.  Consecutive
+    blocks often share one ``tails`` object, so the last object's text is
+    kept and reused while the next block holds the same object.
     """
-    for prefix, lasts in blocks:
-        if lasts is None:
-            yield "0\n"
-        else:
-            head = "".join([names[v] + " " for v in prefix])
-            yield head + ("\n" + head).join([names[v] for v in lasts]) + "\n"
+    last = None  # held, so no other object can take its id
+    lines: list[str] = []
+    for prefix, tails in blocks:
+        if tails is not last:
+            last = tails
+            # an empty tail is the empty formula's one solution
+            lines = [" ".join([names[v] for v in t]) or "0" for t in tails]
+        head = "".join([names[v] + " " for v in prefix])
+        yield head + ("\n" + head).join(lines) + "\n"
 
 
 def cmd_solve(args) -> int:

@@ -134,6 +134,7 @@ def compute_stats(clauses: MonotoneCnf | Sequence[AbstractSet[int]]) -> CnfStats
 #
 # Header:  p mcnf <n_vars> <n_clauses>
 # Clauses: 1-based positive integers terminated by 0, one clause per line.
+# Every count and literal is written in ASCII decimal digits.
 # Comment lines starting with "c " may precede the header.  LF endings.
 
 
@@ -142,6 +143,18 @@ def serialize_cnf(cnf: MonotoneCnf) -> str:
     for c in cnf.clauses:
         lines.append(" ".join(str(v + 1) for v in sorted(c)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def _decimal(token: str) -> int:
+    """``token`` as an int: ASCII decimal digits, after an optional ``-``.
+
+    ``int`` alone would also take ``+2``, ``1_0`` and non-ASCII digits.
+    Raises ``ValueError`` for anything else.
+    """
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
 
 
 def parse_cnf(text: str) -> MonotoneCnf:
@@ -161,8 +174,8 @@ def parse_cnf(text: str) -> MonotoneCnf:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "mcnf":
                 raise CnfParseError(idx, f"malformed header {line!r}, expected 'p mcnf <n_vars> <n_clauses>'")
             try:
-                n_vars = int(parts[2])
-                declared_m = int(parts[3])
+                n_vars = _decimal(parts[2])
+                declared_m = _decimal(parts[3])
             except ValueError:
                 raise CnfParseError(idx, f"non-integer counts in header {line!r}") from None
             if n_vars < 0 or declared_m < 0:
@@ -175,7 +188,7 @@ def parse_cnf(text: str) -> MonotoneCnf:
         lits: list[int] = []
         for tok in tokens:
             try:
-                lit = int(tok)
+                lit = _decimal(tok)
             except ValueError:
                 raise CnfParseError(idx, f"non-integer literal {tok!r}") from None
             lits.append(lit)

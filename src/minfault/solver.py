@@ -31,13 +31,18 @@ cover the same clauses, so neither could keep a crit clause), and
 swapping a member for any of its twins gives another minimal set of the
 same size.  So the minimal sets of at most ``max_size`` variables are
 exactly the choices of one member per class from the minimal sets of the
-formula over the classes.
+formula over the classes.  Those choices come out in order as blocks, a
+prefix and its completions.  Below a prefix whose class sets have at most
+two classes left, the completions depend only on those sets and on where
+the prefix ends in each class, so they are built once per distinct
+subtree and shared by every prefix that repeats it.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -191,17 +196,23 @@ def _search(
         counters.pushes += len(children)
 
 
-Block = tuple  # (prefix, lasts): the assignments prefix + (x,) for x in lasts
+Block = tuple  # (prefix, tails): the assignments prefix + t for t in tails
+
+# a block holds at most this many tails, or the formula's variable count if larger
+_BLOCK_TAILS = 1 << 16
 
 
 def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block]:
     """Every subset-minimal satisfying assignment of at most ``max_size`` variables, as blocks.
 
-    A block ``(prefix, lasts)`` stands for the assignments
-    ``prefix + (x,)`` for each ``x`` in ``lasts`` (never empty).  Blocks
-    come in lexicographic order: flattened, they equal
-    ``sorted(iter_minimal(cnf, config))``.  The empty formula's one
-    assignment ``()`` has no last variable and comes as ``((), None)``.
+    A block ``(prefix, tails)`` stands for the assignments ``prefix + t``
+    for each ``t`` in ``tails``, a non-empty sorted tuple of tuples of one
+    or two variables.  Blocks come in lexicographic order: flattened, they
+    equal ``sorted(iter_minimal(cnf, config))``.  The empty formula's one
+    assignment ``()`` comes as ``((), ((),))``.  Prefixes whose completions
+    are the same share one ``tails`` object, so a reader that formats or
+    copies ``tails`` can do it once per distinct object.  No block holds
+    more than ``max(2**16, n_vars)`` tails.
 
     Twin variables, those occurring in exactly the same clauses, are
     searched once: :func:`iter_minimal`'s search runs over dense class
@@ -210,13 +221,10 @@ def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block
     with the largest variable id.  Each set of classes it yields stands
     for every choice of one member per class (exact, see the module
     docstring); :func:`_expand_in_order` produces those choices in
-    order.  Memory grows with the class-level sets, not with the
-    expanded output.  A formula without twins has one class per
+    order.  Memory grows with the class-level sets and the formula, not
+    with the expanded output.  A formula without twins has one class per
     variable, so it takes the same path and its sets are its output.
     """
-    if cnf.m == 0:
-        yield (), None
-        return
     cover = _cover_masks(cnf.clauses)
     # cover mask -> its twin class, ascending; classes in order of their
     # smallest member
@@ -226,10 +234,10 @@ def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block
     index = {v: i for i, members in enumerate(twins.values()) for v in members}
     clauses = [{index[v] for v in c} for c in cnf.clauses]
     sets = list(_search(clauses, config.max_size, SolverCounters()))
-    yield from _expand_in_order(list(twins.values()), sets)
+    yield from _expand_in_order(list(twins.values()), sets, max(_BLOCK_TAILS, cnf.n_vars))
 
 
-def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]]) -> Iterator[Block]:
+def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]], limit: int) -> Iterator[Block]:
     """The member choices of ``sets`` (tuples of indices into ``classes``) as sorted blocks.
 
     A depth-first walk with an explicit stack, so no global sort and no
@@ -238,20 +246,49 @@ def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]]) -> I
     last variable, of a pending class whose set keeps a member above
     ``x`` in each of its other classes; so every node has a completion.
     Candidates are taken in ascending order across classes, which keeps
-    classes whose ids interleave in order.  A node whose only pending
-    set is one class is one block: that class's members above the prefix.
+    classes whose ids interleave in order, and a run of candidates that
+    complete their set becomes one block of 1-tuples.
+
+    A node whose pending sets have at most two classes each is one
+    block, unless it has more than ``limit`` completions: its tails are
+    the members above the prefix of each one-class set, and the
+    ``(min, max)`` pairs of members above it of each two-class set,
+    sorted.  They depend only on the pending sets and on where the
+    prefix's last variable falls in their classes, so the next such node
+    with the same sets and positions gets the same tuple object.
     """
     first = [members[0] for members in classes]
     top = [members[-1] for members in classes]
+    # the last two-level node's sets with their positions, and its tails
+    memo_key: list | None = None
+    memo_tails: tuple = ()
     # a walk node is (prefix, class sets still to place, None); a block
-    # waiting its turn is (prefix, None, lasts)
-    stack: list[tuple[FaultSet, list | None, list | None]] = [((), sets, None)]
+    # waiting its turn is (prefix, None, tails)
+    stack: list[tuple[FaultSet, list | None, tuple | None]] = [((), sets, None)] if sets else []
     while stack:
-        prefix, pending, lasts = stack.pop()
+        prefix, pending, tails = stack.pop()
         if pending is None:
-            yield prefix, lasts
+            yield prefix, tails
             continue
         lo = prefix[-1] if prefix else -1
+        if max(map(len, pending)) <= 2:
+            key = [(rs, [bisect.bisect_right(classes[c], lo) for c in rs]) for rs in pending]
+            if key == memo_key:
+                yield prefix, memo_tails
+                continue
+            if sum([math.prod([len(classes[c]) - a for c, a in zip(rs, at)]) for rs, at in key]) <= limit:
+                found: list[tuple[int, ...]] = []
+                for rs, at in key:
+                    parts = [classes[c][a:] for c, a in zip(rs, at)]
+                    if len(parts) == 2:
+                        xs, ys = parts
+                        found.extend([(x, y) if x < y else (y, x) for x in xs for y in ys])
+                    else:
+                        found.extend(itertools.product(*parts))
+                found.sort()
+                memo_key, memo_tails = key, tuple(found)
+                yield prefix, memo_tails
+                continue
         # class -> (the rest of each pending set holding it, and the bound
         # the next variable must stay below for that set's other classes)
         groups: dict[int, list[tuple[tuple[int, ...], float]]] = {}
@@ -264,14 +301,6 @@ def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]]) -> I
                 hi = m2 if top[c] == m1 else m1
                 if first[c] < hi:
                     groups.setdefault(c, []).append((tuple([d for d in rs if d != c]), hi))
-        if len(groups) == 1:
-            # the common leaf, one set with one class left: its block
-            # needs no work per variable
-            (c, entries), = groups.items()
-            if not entries[0][0]:
-                members = classes[c]
-                yield prefix, members[bisect.bisect_right(members, lo):]
-                continue
         steps = []
         for c, entries in groups.items():
             members = classes[c]
@@ -280,18 +309,18 @@ def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]]) -> I
             steps.extend([(x, c) for x in members[a:b]])
         steps.sort()
         items = []
-        run: list[int] = []
+        run: list[tuple[int]] = []
         for x, c in steps:
             entries = groups[c]
             if not entries[0][0]:
-                run.append(x)  # the set's last class: prefix + (x,) is complete
+                run.append((x,))  # the set's last class: prefix + (x,) is complete
                 continue
             if run:
-                items.append((prefix, None, run))
+                items.append((prefix, None, tuple(run)))
                 run = []
             items.append((prefix + (x,), [rest for rest, hi in entries if x < hi], None))
         if run:
-            items.append((prefix, None, run))
+            items.append((prefix, None, tuple(run)))
         stack.extend(reversed(items))
 
 
@@ -304,11 +333,8 @@ def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
     twin variables are searched once and expanded in order.
     """
     out: list[FaultSet] = []
-    for prefix, lasts in iter_sorted_blocks(cnf, config):
-        if lasts is None:
-            out.append(prefix)
-        else:
-            out.extend(zip(*map(itertools.repeat, prefix), lasts))
+    for prefix, tails in iter_sorted_blocks(cnf, config):
+        out.extend([prefix + t for t in tails])
     return out
 
 

@@ -147,6 +147,14 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "negative literal" in err
 
+    def test_literal_not_ascii_decimal_exit_code(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p mcnf 4 1\n1 +2 0\n", encoding="utf-8")
+        code, out, err = run(["solve", "--cnf", str(cnf), "--k", "1"], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "non-integer literal '+2'" in err
+
     def test_reader_closing_the_pipe_is_not_an_error(self, tmp_path):
         # ``solve ... | head -1`` on about 2 MB of output
         f = tmp_path / "r.cnf"
@@ -235,6 +243,24 @@ class TestSolve:
         assert manifest["outputs"] == {str(dest): hashlib.sha256(want.encode()).hexdigest()}
         assert not (tmp_path / "sols.txt.tmp").exists()
 
+    @pytest.mark.parametrize("case, digest", [
+        ("request-2-50-2", "fe7383272304067f295fdff55796eaf37b548fa73b571d215a8fcfa1358cd391"),
+        ("interleaved", "c781a59ebe4655f3a9b017c247d47f9b140e892b1f5b2caa527e827f348c2613"),
+    ])
+    def test_golden_bytes(self, tmp_path, case, digest):
+        # SHA-256 of ``solve --k 4`` output, pinned before blocks shared
+        # their tails: 185,761 lines, and 1,100 lines from classes whose
+        # ids interleave (sets {B, D} and {A, C, D}, ids 7 apart)
+        if case == "interleaved":
+            cnf = make_cnf([{7 * v for v in range(40) if v % 4 in rems} for rems in ((0, 1), (1, 2), (3,))], 280)
+        else:
+            cnf = request_cnf(2, 50, 2)
+        f = tmp_path / "f.cnf"
+        f.write_text(serialize_cnf(cnf))
+        dest = tmp_path / "sols.txt"
+        assert main(["solve", "--cnf", str(f), "--k", "4", "--out", str(dest)]) == EXIT_OK
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
     def test_failure_mid_stream_leaves_no_output(self, tmp_path, monkeypatch):
         f = tmp_path / "f.cnf"
         f.write_text(serialize_cnf(request_cnf(2, 50, 2)))
@@ -243,8 +269,10 @@ class TestSolve:
         blocks = cli.iter_sorted_blocks
 
         def failing(cnf, config):
+            # 431 blocks of about 4.9 kB of text each; the first 1 MB chunk
+            # is written after about 210 of them
             for i, block in enumerate(blocks(cnf, config)):
-                if i == 4000:
+                if i == 400:
                     assert tmp.stat().st_size > 0  # some chunks were written
                     raise RuntimeError("solver failed")
                 yield block

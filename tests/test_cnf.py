@@ -1,6 +1,7 @@
 """Formula construction, satisfaction, overlap statistics, and file I/O."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,18 @@ class TestFileFormat:
     def test_negative_literal_rejected(self):
         with pytest.raises(CnfParseError, match="line 2.*negative literal"):
             parse_cnf("p mcnf 4 1\n1 -3 0\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "2\u0663", "\u00b3", "--3", "-"])
+    def test_literal_not_ascii_decimal_rejected(self, token):
+        # ``int`` reads the first four as 10, 2, 3 and 23
+        with pytest.raises(CnfParseError, match="line 2.*non-integer literal " + re.escape(repr(token))):
+            parse_cnf(f"p mcnf 40 1\n1 {token} 0\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "\u00b3"])
+    def test_count_not_ascii_decimal_rejected(self, token):
+        for header in (f"p mcnf {token} 1", f"p mcnf 40 {token}"):
+            with pytest.raises(CnfParseError, match="line 1.*non-integer counts"):
+                parse_cnf(header + "\n1 0\n")
 
     def test_missing_terminator(self):
         with pytest.raises(CnfParseError, match="line 2.*terminator"):

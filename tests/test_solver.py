@@ -398,31 +398,49 @@ class TestTwinClasses:
         cnf = make_cnf([{v * spread for v in c} for c in cnf.clauses], cnf.n_vars * spread)
         cfg = SolverConfig(max_size=k)
         blocks = list(iter_sorted_blocks(cnf, cfg))
-        flat = []
-        for prefix, lasts in blocks:
-            if lasts is None:
-                assert cnf.m == 0 and prefix == ()
-                flat.append(prefix)
-                continue
-            assert len(lasts) > 0
-            flat.extend(prefix + (x,) for x in lasts)
+        assert all(len(tails) > 0 for _, tails in blocks)
+        flat = [prefix + t for prefix, tails in blocks for t in tails]
         assert flat == sorted(iter_minimal(cnf, cfg))
 
     def test_blocks_share_prefixes(self):
-        # (2,50,2) at k=4: 185,761 sets from 4 class-level sets; a block
-        # per prefix, not per set
+        # (2,50,2) at k=4: 185,761 sets from 4 class-level sets; every
+        # prefix ends in the same two-level subtree, so its blocks share
+        # one tails object
         cnf = request_cnf(2, 50, 2)
         blocks = list(iter_sorted_blocks(cnf, SolverConfig(max_size=4)))
-        assert sum(len(lasts) for _, lasts in blocks) == 185_761
-        assert len(blocks) < 10_000
+        assert sum(len(tails) for _, tails in blocks) == 185_761
+        assert len(blocks) < 1_000
+        assert len({id(tails) for _, tails in blocks}) == 1
 
     def test_interleaved_blocks_split(self):
-        # classes {0, 2} and {1, 3}: prefix (0,) continues with 1 and 3,
-        # prefix (1,) with 2 only, since class {0, 2} needs a member above 1
+        # classes {0, 2} and {1, 3}: one two-class set, so one block of
+        # (min, max) pairs
         cnf = make_cnf([{0, 2}, {1, 3}], 4)
         assert list(iter_sorted_blocks(cnf, SolverConfig(max_size=2))) == [
-            ((0,), [1, 3]), ((1,), [2]), ((2,), [3]),
+            ((), ((0, 1), (0, 3), (1, 2), (2, 3))),
+        ]
+        # with class {4} too: prefix (0,) continues with 1 or 3, prefix (1,)
+        # with 2 only, since class {0, 2} needs a member above 1
+        cnf = make_cnf([{0, 2}, {1, 3}, {4}], 5)
+        assert list(iter_sorted_blocks(cnf, SolverConfig(max_size=3))) == [
+            ((0,), ((1, 4), (3, 4))), ((1,), ((2, 4),)), ((2,), ((3, 4),)),
         ]
 
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_block_size_bound(self, interleaved):
+        # clauses {A} and {B}, 300 twins each: 90,000 pairs at k=2, above
+        # the 2**16 a block may hold, so the root is walked and each first
+        # member gets a block of the other class's members above it
+        a, b = (range(0, 600, 2), range(1, 600, 2)) if interleaved else (range(300), range(300, 600))
+        cnf = make_cnf([set(a), set(b)], 600)
+        cfg = SolverConfig(max_size=2)
+        blocks = list(iter_sorted_blocks(cnf, cfg))
+        assert max(len(tails) for _, tails in blocks) <= 300
+        assert [prefix + t for prefix, tails in blocks for t in tails] == sorted(iter_minimal(cnf, cfg))
+        if not interleaved:
+            # every prefix of A has the same subtree: all of B
+            assert len(blocks) == 300
+            assert all(tails is blocks[0][1] for _, tails in blocks)
+
     def test_empty_formula_block(self):
-        assert list(iter_sorted_blocks(make_cnf([], 3), SolverConfig(max_size=0))) == [((), None)]
+        assert list(iter_sorted_blocks(make_cnf([], 3), SolverConfig(max_size=0))) == [((), ((),))]
