@@ -2,11 +2,16 @@
 
 The loop starts from the no-fault execution path and pulls minimal
 candidates at bound k, one at a time, from a lazy search over the
-current formula (:func:`minfault.solver.iter_minimal`).  It injects each
-and reacts to the outcome: a failure records a valid fault, a survival
-reveals a fresh alternative path that is conjoined into the formula, and
-the search over the old formula is dropped unfinished for one over the
-new.  Only when a search is exhausted does k grow, up to ``k_max``.
+current formula (:func:`minfault.solver.iter_minimal`).  That search
+runs over twin classes, APIs on exactly the same known paths, so a pool
+over m paths searches at most 2**m - 1 classes however many APIs lie on
+them, and expands each class set into candidates only as they are
+pulled; their order, and so the order in which valid faults are found,
+is that search's.  The campaign injects each candidate and reacts to the
+outcome: a failure records a valid fault, a survival reveals a fresh
+alternative path that is conjoined into the formula, and the search over
+the old formula is dropped unfinished for one over the new.  Only when a
+search is exhausted does k grow, up to ``k_max``.
 
 The campaign talks to the system exclusively through
 :func:`minfault.simulation.execute`; it never reads paths directly.  It

@@ -8,6 +8,7 @@ clauses, and every operation returns a fresh formula.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 
@@ -134,8 +135,12 @@ def compute_stats(clauses: MonotoneCnf | Sequence[AbstractSet[int]]) -> CnfStats
 #
 # Header:  p mcnf <n_vars> <n_clauses>
 # Clauses: 1-based positive integers terminated by 0, one clause per line.
-# Every count and literal is written in ASCII decimal digits.
+# Every count and literal is written in ASCII decimal digits, and the
+# header's and clauses' tokens are separated by ASCII spaces only.
 # Comment lines starting with "c " may precede the header.  LF endings.
+
+# whitespace other than the ASCII space: tab, CR, NBSP, U+001C, U+2003, ...
+_OTHER_SPACE = re.compile(r"[^\S ]")
 
 
 def serialize_cnf(cnf: MonotoneCnf) -> str:
@@ -167,9 +172,13 @@ def parse_cnf(text: str) -> MonotoneCnf:
     clauses: list[frozenset[int]] = []
     header_seen = False
     for idx, line in enumerate(lines, start=1):
+        if not header_seen and (line.startswith("c ") or line == "c"):
+            continue
+        found = _OTHER_SPACE.search(line)
+        if found:
+            raise CnfParseError(idx, f"whitespace {found.group()!r} other than an ASCII space")
+        # only ASCII spaces are left, so ``split`` splits on them alone
         if not header_seen:
-            if line.startswith("c ") or line == "c":
-                continue
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "mcnf":
                 raise CnfParseError(idx, f"malformed header {line!r}, expected 'p mcnf <n_vars> <n_clauses>'")

@@ -248,13 +248,17 @@ def system_from_json(text: str) -> SimulatedSystem:
     _require(isinstance(sym_raw, list), "symbol_table", "expected a list")
     _require(len(sym_raw) == n_vars, "symbol_table", f"expected {n_vars} entries")
     symbols = []
+    # per-entry checks raise directly, so a valid file formats no message
     for i, entry in enumerate(sym_raw):
-        field = f"symbol_table[{i}]"
-        _require(isinstance(entry, list) and len(entry) == 3, field, "expected [service, api, replica]")
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise SchemaError(f"symbol_table[{i}]: expected [service, api, replica]")
         service, api, replica = entry
-        _require(isinstance(service, str), f"{field}.service", "expected a string")
-        _require(isinstance(api, str), f"{field}.api", "expected a string")
-        _require(type(replica) is int, f"{field}.replica", "expected an integer")
+        if not isinstance(service, str):
+            raise SchemaError(f"symbol_table[{i}].service: expected a string")
+        if not isinstance(api, str):
+            raise SchemaError(f"symbol_table[{i}].api: expected a string")
+        if type(replica) is not int:
+            raise SchemaError(f"symbol_table[{i}].replica: expected an integer")
         symbols.append((service, api, replica))
 
     reqs_raw = doc["requests"]
@@ -281,7 +285,8 @@ def system_from_json(text: str) -> SimulatedSystem:
             pf = f"{field}.paths[{j}]"
             _require(isinstance(p, list) and p, pf, "expected a non-empty list of variable ids")
             for v in p:
-                _require(type(v) is int and 0 <= v < n_vars, pf, f"variable id {v!r} out of range")
+                if not (type(v) is int and 0 <= v < n_vars):
+                    raise SchemaError(f"{pf}: variable id {v!r} out of range")
             fs = frozenset(p)
             _require(len(fs) == len(p), pf, "duplicate variable in path")
             paths.append(fs)

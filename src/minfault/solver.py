@@ -24,18 +24,22 @@ bits of the AND of the uncovered clauses' masks that leave every chosen
 variable a crit clause.  Path formulas have long clauses and few such
 variables, so most last-level nodes end after a few mask ANDs.
 
-``iter_sorted_blocks`` also collapses twin variables, those occurring in
-exactly the same clauses, a reduction from the same survey.  It is exact:
-a minimal set holds at most one variable of each twin class (two twins
-cover the same clauses, so neither could keep a crit clause), and
-swapping a member for any of its twins gives another minimal set of the
-same size.  So the minimal sets of at most ``max_size`` variables are
-exactly the choices of one member per class from the minimal sets of the
-formula over the classes.  Those choices come out in order as blocks, a
-prefix and its completions.  Below a prefix whose class sets have at most
-two classes left, the completions depend only on those sets and on where
-the prefix ends in each class, so they are built once per distinct
-subtree and shared by every prefix that repeats it.
+Every search collapses twin variables, those occurring in exactly the
+same clauses, a reduction from the same survey.  It is exact: a minimal
+set holds at most one variable of each twin class (two twins cover the
+same clauses, so neither could keep a crit clause), and swapping a
+member for any of its twins gives another minimal set of the same size.
+So the minimal sets of at most ``max_size`` variables are exactly the
+choices of one member per class from the minimal sets of the formula
+over the classes.  A path formula over m distinct paths has at most
+2**m - 1 classes however many APIs lie on its paths, so the search
+grows with the paths, not with the APIs.  ``iter_minimal`` expands each
+class set by product as it is pulled.  ``iter_sorted_blocks`` expands
+them in order as blocks, a prefix and its completions.  Below a prefix
+whose class sets have at most two classes left, the completions depend
+only on those sets and on where the prefix ends in each class, so they
+are built once per distinct subtree and shared by every prefix that
+repeats it.
 """
 
 from __future__ import annotations
@@ -91,6 +95,27 @@ def _cover_masks(clauses: Iterable[Iterable[int]]) -> dict[int, int]:
     return cover
 
 
+def _twin_classes(clauses: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The twin classes of ``clauses``' variables, and the clauses over class indices.
+
+    Classes are ascending lists of variables with one cover mask, ordered
+    by smallest member; class clause ``j`` lists, ascending, the classes
+    in clause ``j``.  The class clauses come from the classes' cover-mask
+    bits, so no variable is visited twice.
+    """
+    cover = _cover_masks(clauses)
+    twins: dict[int, list[int]] = {}
+    for v in sorted(cover):
+        twins.setdefault(cover[v], []).append(v)
+    class_clauses: list[list[int]] = [[] for _ in clauses]
+    for i, mask in enumerate(twins):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            class_clauses[low.bit_length() - 1].append(i)
+    return list(twins.values()), class_clauses
+
+
 def iter_minimal(
     cnf: MonotoneCnf, config: SolverConfig, counters: SolverCounters | None = None
 ) -> Iterator[FaultSet]:
@@ -98,22 +123,30 @@ def iter_minimal(
 
     Explicit-stack DFS over uncovered-clause bitmasks (plain ints, so any
     clause count works) with the module docstring's crit sets and
-    last-level leaves.  Each expansion branches on the lowest-index
-    uncovered clause, lowest variable first, and a child never picks the
-    clause's variables below its own, so each minimal set is reached
-    once.  A node with more than one variable left is skipped when a
-    greedy packing of pairwise-disjoint uncovered clauses (lowest index
-    first) needs more variables than remain.  A last-level node yields
-    its leaves lowest first, with the order and counters of pushing and
-    popping them.
+    last-level leaves, run over twin classes (class ``i`` being the one
+    with the ``i``-th smallest first member).  Each expansion branches on
+    the lowest-index uncovered clause, lowest class first, and a child
+    never picks the clause's classes below its own, so each minimal class
+    set is reached once.  A node with more than one class left is
+    skipped when a greedy packing of pairwise-disjoint uncovered clauses
+    (lowest index first) needs more classes than remain.  A last-level
+    node yields its leaves lowest first, with the order and counters of
+    pushing and popping them.
 
-    Each assignment is an ascending tuple; they come in search order, not
-    sorted, and only as fast as they are pulled.  The empty formula
-    yields ``()``.  ``counters``, when given, is updated in place.
+    Each class set stands for the product of its classes' members, taken
+    in class order and yielded one ascending tuple at a time.  Sets come
+    in that search order, not sorted, and only as fast as they are
+    pulled.  The empty formula yields ``()``.  ``counters``, when given,
+    is updated in place: ``expansions`` and ``pushes`` count class-level
+    nodes, ``leaf_hits`` the assignments yielded.
     """
     if counters is None:
         counters = SolverCounters()
-    yield from _search(cnf.clauses, config.max_size, counters)
+    classes, clauses = _twin_classes(cnf.clauses)
+    for rs in _search(clauses, config.max_size, counters):
+        for choice in itertools.product(*[classes[c] for c in rs]):
+            counters.leaf_hits += 1
+            yield tuple(sorted(choice))
 
 
 def _search(
@@ -124,7 +157,8 @@ def _search(
     Their one encoding: each variable's cover mask, each clause's variables
     as a mask over ids (a node branches on its unbanned bits, lowest first),
     and each clause's mask of the clauses sharing none of them.  With no
-    clauses the root is the one leaf, ``()``.
+    clauses the root is the one leaf, ``()``.  Yields ascending tuples of
+    variables and leaves ``counters.leaf_hits`` to the caller.
     """
     cover = _cover_masks(clauses)
     members = []
@@ -142,7 +176,6 @@ def _search(
     while stack:
         u, banned, chosen, crit = stack.pop()
         if u == 0:
-            counters.leaf_hits += 1
             yield tuple(sorted(chosen))
             continue
         left = maxd - len(chosen)
@@ -164,7 +197,6 @@ def _search(
                 keep = ~cover[v]
                 if all([c & keep for c in crit]):
                     counters.pushes += 1
-                    counters.leaf_hits += 1
                     yield tuple(sorted(chosen + (v,)))
             continue
         need = 0
@@ -214,27 +246,17 @@ def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block
     copies ``tails`` can do it once per distinct object.  No block holds
     more than ``max(2**16, n_vars)`` tails.
 
-    Twin variables, those occurring in exactly the same clauses, are
-    searched once: :func:`iter_minimal`'s search runs over dense class
-    indices, class ``i`` being the twin class with the ``i``-th smallest
-    first member, so its bitmasks grow with the number of classes, not
-    with the largest variable id.  Each set of classes it yields stands
-    for every choice of one member per class (exact, see the module
-    docstring); :func:`_expand_in_order` produces those choices in
-    order.  Memory grows with the class-level sets and the formula, not
-    with the expanded output.  A formula without twins has one class per
-    variable, so it takes the same path and its sets are its output.
+    Twin variables are searched once, as in :func:`iter_minimal`, so the
+    search's bitmasks grow with the number of classes, not with the
+    largest variable id.  Each set of classes it finds stands for every
+    choice of one member per class (exact, see the module docstring);
+    :func:`_expand_in_order` produces those choices in order.  Memory
+    grows with the class-level sets and the formula, not with the
+    expanded output.
     """
-    cover = _cover_masks(cnf.clauses)
-    # cover mask -> its twin class, ascending; classes in order of their
-    # smallest member
-    twins: dict[int, list[int]] = {}
-    for v in sorted(cover):
-        twins.setdefault(cover[v], []).append(v)
-    index = {v: i for i, members in enumerate(twins.values()) for v in members}
-    clauses = [{index[v] for v in c} for c in cnf.clauses]
+    classes, clauses = _twin_classes(cnf.clauses)
     sets = list(_search(clauses, config.max_size, SolverCounters()))
-    yield from _expand_in_order(list(twins.values()), sets, max(_BLOCK_TAILS, cnf.n_vars))
+    yield from _expand_in_order(classes, sets, max(_BLOCK_TAILS, cnf.n_vars))
 
 
 def _expand_in_order(classes: list[list[int]], sets: list[tuple[int, ...]], limit: int) -> Iterator[Block]:
@@ -341,10 +363,11 @@ def enumerate_minimal(cnf: MonotoneCnf, config: SolverConfig) -> list[FaultSet]:
 def enumerate_minimal_with_counters(
     cnf: MonotoneCnf, config: SolverConfig
 ) -> tuple[list[FaultSet], SolverCounters]:
-    """:func:`enumerate_minimal`'s list, and the counters of the plain search.
+    """:func:`enumerate_minimal`'s list, and the counters of :func:`iter_minimal`'s search.
 
-    This runs :func:`iter_minimal` on ``cnf`` itself, without the twin
-    reduction, so the counters describe the search a campaign makes.
+    This sorts :func:`iter_minimal`'s output, so the counters describe
+    the search a campaign makes: class-level nodes, and one leaf hit per
+    assignment.
     """
     counters = SolverCounters()
     return sorted(iter_minimal(cnf, config, counters)), counters

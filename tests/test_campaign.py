@@ -366,3 +366,15 @@ class TestLazyPool:
         stat = run_campaign_static(system, 0, g)
         assert list(dyn.valid_faults) == sorted(dyn.valid_faults)
         assert stat.valid_faults == dyn.valid_faults
+
+
+class TestFleetCounts:
+    def test_fleet_system_counts(self):
+        # the fleet-harden benchmark system at seed 1: each request's
+        # search order decides its survivors, so a reordered pool that
+        # lets one more survive shows here
+        system = generate_system(GenParams(group_num=2, edge_num=40, bone_num=3, n_requests=8,
+                                           shared_api_fraction=0.3, seed=1))
+        for req in system.requests:
+            res = run_campaign(system, CampaignConfig(request_id=req.request_id, k_max=3))
+            assert (res.injections, res.solver_calls) == (1362, 6)

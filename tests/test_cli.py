@@ -155,6 +155,14 @@ class TestSolve:
         assert out == ""
         assert "non-integer literal '+2'" in err
 
+    def test_crlf_file_exit_code(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_bytes(b"p mcnf 4 1\r\n1 2 0\r\n")
+        code, out, err = run(["solve", "--cnf", str(cnf), "--k", "1"], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "line 1: whitespace '\\r' other than an ASCII space" in err
+
     def test_reader_closing_the_pipe_is_not_an_error(self, tmp_path):
         # ``solve ... | head -1`` on about 2 MB of output
         f = tmp_path / "r.cnf"
@@ -840,6 +848,22 @@ class TestDeterminism:
                         assert ra[key] == rb[key]
         assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
         assert (a / "plan.csv").read_bytes() == (b / "plan.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_fault_order_leaves_plan_alone(self, tmp_path, campaign_docs, capsys, method):
+        # a campaign file lists its faults in the solver's search order;
+        # neither the plan nor its run id may depend on that order
+        system, docs = campaign_docs
+        flipped = {name: dict(doc, valid_faults=doc["valid_faults"][::-1]) for name, doc in docs.items()}
+        assert flipped != docs
+        plans = []
+        for name, campaign in (("found", docs), ("flipped", flipped)):
+            write_campaign(tmp_path / name, campaign)
+            out = tmp_path / f"{name}.json"
+            code, _, err = run(harden_argv(system, tmp_path / name, out) + ["--method", method], capsys)
+            assert code == EXIT_OK, err
+            plans.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+        assert plans[0] == plans[1]
 
 
 def campaign_doc(result, symbol_table, mode, run_id):

@@ -218,6 +218,21 @@ class TestFileFormat:
             with pytest.raises(CnfParseError, match="line 1.*non-integer counts"):
                 parse_cnf(header + "\n1 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p mcnf 4 1\n1\u00a02 0\n", 2),
+            ("p mcnf 4 1\n1\x1c2 0\n", 2),
+            ("p\u2003mcnf 4 1\n1 2 0\n", 1),
+            ("p mcnf 4 1\r\n1 2 0\r\n", 1),
+        ],
+        ids=["nbsp", "file-separator", "em-space", "crlf"],
+    )
+    def test_whitespace_other_than_space_rejected(self, text, line):
+        # ``str.split`` would read each as if written with ASCII spaces
+        with pytest.raises(CnfParseError, match=f"line {line}: whitespace .* other than an ASCII space"):
+            parse_cnf(text)
+
     def test_missing_terminator(self):
         with pytest.raises(CnfParseError, match="line 2.*terminator"):
             parse_cnf("p mcnf 4 1\n1 2\n")

@@ -340,6 +340,33 @@ class TestSystemFile:
         with pytest.raises(SchemaError, match=r"paths\[0\]"):
             system_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc["requests"][0]["paths"][0].append(-1),
+             "requests[0].paths[0]: variable id -1 out of range"),
+            (lambda doc: doc["requests"][0]["paths"][0].append("1"),
+             "requests[0].paths[0]: variable id '1' out of range"),
+            (lambda doc: doc["symbol_table"][1].pop(),
+             "symbol_table[1]: expected [service, api, replica]"),
+            # the first bad field of an entry is the one named
+            (lambda doc: doc["symbol_table"][1].__setitem__(slice(0, 2), [0, 0]),
+             "symbol_table[1].service: expected a string"),
+            (lambda doc: doc["symbol_table"][1].__setitem__(1, None),
+             "symbol_table[1].api: expected a string"),
+            (lambda doc: doc["symbol_table"][1].__setitem__(2, 0.0),
+             "symbol_table[1].replica: expected an integer"),
+        ],
+        ids=["path-negative", "path-string", "symbol-entry", "symbol-service", "symbol-api",
+             "symbol-replica"],
+    )
+    def test_exact_messages(self, mutate, message):
+        doc = json.loads(system_to_json(tiny_system([{0, 1}], 2)))
+        mutate(doc)
+        with pytest.raises(SchemaError) as info:
+            system_from_json(json.dumps(doc))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
     def test_boolean_for_integer_named(self, field):
         with pytest.raises(SchemaError, match=re.escape(field)):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -206,15 +207,26 @@ class TestSolverProperties:
             second = enumerate_minimal(cnf, cfg)
             assert repr(first) == repr(second)
 
-    def test_denser_coverage_shrinks_search(self):
-        # at equal clause count, variables covering more clauses mean fewer
-        # reachable states; the counters expose that scaling direction
-        m = 6
-        disjoint = make_cnf([{2 * i, 2 * i + 1} for i in range(m)], 2 * m)
-        ring = make_cnf([{i, (i + 1) % m} for i in range(m)], m)
-        _, sparse = enumerate_minimal_with_counters(disjoint, SolverConfig(max_size=m))
-        _, dense = enumerate_minimal_with_counters(ring, SolverConfig(max_size=m))
-        assert dense.expansions < sparse.expansions
+    @given(
+        monotone_cnfs(max_vars=7, max_clauses=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=100)
+    def test_twin_inflation_keeps_the_search(self, cnf, k, r):
+        # every variable v becomes r twins r*v .. r*v + r - 1: the search
+        # over twin classes is the same, and each set S comes back as the
+        # r**|S| choices of one twin per member
+        copy = make_cnf([{r * v + j for v in c for j in range(r)} for c in cnf.clauses], r * cnf.n_vars)
+        cfg = SolverConfig(max_size=k)
+        base, plain = SolverCounters(), SolverCounters()
+        out = list(iter_minimal(cnf, cfg, base))
+        inflated = list(iter_minimal(copy, cfg, plain))
+        assert (plain.expansions, plain.pushes) == (base.expansions, base.pushes)
+        assert len(set(inflated)) == len(inflated) == plain.leaf_hits
+        assert Counter(tuple(sorted({v // r for v in s})) for s in inflated) == {
+            s: r ** len(s) for s in out
+        }
 
 
 class TestIterMinimal:
@@ -286,13 +298,55 @@ def mmcs_order(cnf, k):
     return out
 
 
+@st.composite
+def cnfs_with_twins(draw):
+    """A random formula plus fresh variables that copy others' occurrences.
+
+    The copies get the highest ids, so their twin classes interleave with
+    the others by id; then all ids may be permuted, so classes interleave
+    in any pattern.
+    """
+    cnf = draw(monotone_cnfs(max_vars=7, max_clauses=5))
+    originals = draw(st.lists(st.integers(min_value=0, max_value=cnf.n_vars - 1), max_size=6))
+    n = cnf.n_vars + len(originals)
+    ids = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    clauses = [
+        {ids[v] for v in c} | {ids[cnf.n_vars + j] for j, v in enumerate(originals) if v in c}
+        for c in cnf.clauses
+    ]
+    return make_cnf(clauses, n)
+
+
+def twin_formula(cnf):
+    """``cnf`` over its twin classes, and the classes, ordered by smallest member."""
+    by_clauses = {}
+    for v in sorted(cnf.variables()):
+        key = frozenset(i for i, c in enumerate(cnf.clauses) if v in c)
+        by_clauses.setdefault(key, []).append(v)
+    classes = list(by_clauses.values())
+    clauses = [{i for i, members in enumerate(classes) if members[0] in c} for c in cnf.clauses]
+    return make_cnf(clauses, len(classes)), classes
+
+
 class TestSearchOrder:
     """``iter_minimal``'s order, on which a campaign's discovery order rests."""
 
-    @given(monotone_cnfs(max_vars=12, max_clauses=8), st.integers(min_value=0, max_value=6))
+    @given(
+        st.one_of(monotone_cnfs(max_vars=12, max_clauses=8), cnfs_with_twins()),
+        st.integers(min_value=0, max_value=6),
+    )
     @settings(max_examples=200)
     def test_order_matches_plain_mmcs(self, cnf, k):
-        assert list(iter_minimal(cnf, SolverConfig(max_size=k))) == mmcs_order(cnf, k)
+        # plain MMCS over the twin classes, each class set expanded by
+        # product in class order; forced twins make sets of several
+        # many-member classes, where the expansion order shows
+        twins, classes = twin_formula(cnf)
+        want = [
+            tuple(sorted(choice))
+            for rs in mmcs_order(twins, k)
+            for choice in itertools.product(*[classes[c] for c in rs])
+        ]
+        assert list(iter_minimal(cnf, SolverConfig(max_size=k))) == want
 
     @pytest.mark.parametrize(
         "shape, k, count", [((3, 200, 4), 3, 64), ((4, 100, 3), 4, 81)], ids=["3-200-4", "4-100-3"]
@@ -331,25 +385,6 @@ class TestSearchOrder:
         assert len(out) == len(set(out)) == count
         assert set(out) == want
         assert counters.leaf_hits == len(out)
-
-
-@st.composite
-def cnfs_with_twins(draw):
-    """A random formula plus fresh variables that copy others' occurrences.
-
-    The copies get the highest ids, so their twin classes interleave with
-    the others by id; then all ids may be permuted, so classes interleave
-    in any pattern.
-    """
-    cnf = draw(monotone_cnfs(max_vars=7, max_clauses=5))
-    originals = draw(st.lists(st.integers(min_value=0, max_value=cnf.n_vars - 1), max_size=6))
-    n = cnf.n_vars + len(originals)
-    ids = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
-    clauses = [
-        {ids[v] for v in c} | {ids[cnf.n_vars + j] for j, v in enumerate(originals) if v in c}
-        for c in cnf.clauses
-    ]
-    return make_cnf(clauses, n)
 
 
 class TestTwinClasses:
