@@ -27,7 +27,8 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -115,13 +116,30 @@ def _fault_fragments(symbol_table):
     return fragments
 
 
+# ``_dump_campaign`` formats at most this many faults per piece
+_BATCH_FAULTS = 4096
+# a fragments pair's ``vars`` and ``symbols`` item
+_VARS, _SYMBOLS = itemgetter(0), itemgetter(1)
+
+
+@functools.cache
+def _fault_template(n: int) -> str:
+    """A campaign file's entry for a fault of ``n`` variables: ``%`` takes
+    the ``n`` ``symbols`` items, then the ``n`` ``vars`` items."""
+    items = ",\n".join(["%s"] * n)
+    return (f'    {{\n      "symbols": [\n{items}\n      ],\n'
+            f'      "vars": [\n{items}\n      ]\n    }}')
+
+
 def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) -> Iterator[str]:
     """A campaign file in pieces, the same text ``_dump_json`` gives for the document.
 
     The small head goes through ``_dump_json``; ``valid_faults`` sorts
-    after every head key, so its entries follow, one piece per fault,
-    from a template with each fault's variables taken from ``fragments``
-    (see ``_fault_fragments``).  The pure-Python indenting encoder would
+    after every head key, so its entries follow.  Each run of faults of
+    one length is formatted in batches of at most ``_BATCH_FAULTS``, one
+    piece per batch: the length's template (``_fault_template``) takes
+    each fault's items, read column by column from ``fragments`` (see
+    ``_fault_fragments``).  The pure-Python indenting encoder would
     otherwise re-encode every symbol of every fault, and nothing holds
     the whole file.
     """
@@ -146,16 +164,15 @@ def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) ->
         yield "[]\n}\n"
         return
     sep = "[\n"
-    for fault in result.valid_faults:  # non-empty: no request fails uninjected
-        frags = [fragments(v) for v in fault]
-        yield (
-            sep + '    {\n      "symbols": [\n'
-            + ",\n".join([s for _, s in frags])
-            + '\n      ],\n      "vars": [\n'
-            + ",\n".join([v for v, _ in frags])
-            + "\n      ]\n    }"
-        )
-        sep = ",\n"
+    for n, run in groupby(result.valid_faults, len):  # n > 0: no request fails uninjected
+        template = _fault_template(n)
+        while batch := list(islice(run, _BATCH_FAULTS)):
+            # per position in the faults, the batch's fragments; columns are
+            # read through ``map``, so nothing is allocated per variable
+            cols = [list(map(fragments, map(itemgetter(i), batch))) for i in range(n)]
+            args = zip(*[map(_SYMBOLS, col) for col in cols], *[map(_VARS, col) for col in cols])
+            yield sep + ",\n".join(map(template.__mod__, args))
+            sep = ",\n"
     yield "\n  ]\n}\n"
 
 
@@ -366,7 +383,7 @@ def cmd_inject(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["request_id", "fault_injection_number", "solver_calls", "valid_faults",
                      "cnf_solving_time_ms", "end_to_end_time_ms", "error", "run_id"])
-    campaigns_s = 0.0
+    campaigns_s = write_s = 0.0
     for rid in request_ids:
         t0 = time.perf_counter()
         try:
@@ -379,16 +396,21 @@ def cmd_inject(args) -> int:
             continue
         finally:
             campaigns_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
         out_file = args.out_dir / f"request_{rid}.json"
         pieces = _dump_campaign(result, mode, manifest.run_id, fragments)
         manifest.add_output(out_file, _write_atomic(out_file, _chunked(pieces)))
+        write_s += time.perf_counter() - t0
         times = result.wall_times
         writer.writerow([rid, result.injections, result.solver_calls, len(result.valid_faults),
                          round(times.solve_ms, 3), round(times.total_ms, 3), "", manifest.run_id])
         del result  # the next campaign runs with this one freed
-    manifest.timings_ms["campaigns"] = campaigns_s * 1e3
+    t0 = time.perf_counter()
     summary = args.out_dir / "summary.csv"
     manifest.add_output(summary, _write_atomic(summary, [buf.getvalue()]))
+    write_s += time.perf_counter() - t0
+    manifest.timings_ms["campaigns"] = campaigns_s * 1e3
+    manifest.timings_ms["write"] = write_s * 1e3
     manifest.write(summary)
     return EXIT_OK
 
@@ -429,13 +451,16 @@ def cmd_harden(args) -> int:
     file_of_request: dict[int, Path] = {}
     for f in result_files:
         raw = f.read_bytes()
-        # everything decoded here stays alive, so a collection would free nothing
+        # a collection during the decode would free nothing, since every
+        # object built is still referenced; the document is freed before
+        # the collector is back on, so no later collection walks it either
         collecting = gc.isenabled()
         gc.disable()
         try:
             doc = json.loads(raw)
             rid = doc["request_id"]
             faults = [tuple(entry["vars"]) for entry in doc["valid_faults"]]
+            del doc
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
         finally:

@@ -22,7 +22,9 @@ counts a repeated fault once, AFVR once per listing.  It runs one
 hard-cover search, at its largest budget; each level takes that search's
 covers of its size or less, which are exactly its own minimal covers.
 The greedy is lazy (Minoux, 1978), with the same picks and ties as a
-full rescan at every pick.
+full rescan at every pick.  Its picks do not depend on the budget, which
+only stops it sooner, so a sweep extends each cover greedily once, at its
+largest budget, and every approximate level takes a prefix of the picks.
 
 The sweep's residual-failure metric (AFVR) applies the execution rule of
 :func:`minfault.simulation.execute` with those bitmasks: a fault still
@@ -218,28 +220,42 @@ def _hard_covers(clauses, n_vars: int, budget: int) -> list[tuple[int, ...]]:
     return enumerate_minimal(MonotoneCnf(tuple(clauses), n_vars), SolverConfig(max_size=budget))
 
 
-def _best_plan(hard, soft, covers, budget: int) -> HardeningPlan | None:
-    """The plan with the smallest key over ``covers``; None when none fits ``budget``.
+def _best_plan(hard, soft, covers, budgets: Sequence[int]) -> list[HardeningPlan | None]:
+    """Per budget, the plan with the smallest key over the ``covers`` that fit it; None when none fits.
 
     Each cover's residual budget goes to the soft clauses it leaves
-    uncovered: exactly on small instances, greedily above the size limits
-    (flagged via ``exact=False``).  Plans are ranked by :func:`_plan_key`.
+    uncovered: exactly when the level is within the size limits, greedily
+    above them (flagged via ``exact=False``).  Plans are ranked by
+    :func:`_plan_key`.  The greedy runs once per cover, at the largest
+    budget, and a level takes the first picks its residual budget allows:
+    ``_greedy_cover``'s picks do not depend on its budget, which only
+    stops it sooner, so each prefix is that level's own extension.
     """
-    covers = [c for c in covers if len(c) <= budget]
-    if not covers:
-        return None
     soft_masks, n_soft = soft
-    exact = (len(soft_masks) <= _EXACT_MAX_CANDIDATES and n_soft <= _EXACT_MAX_CLAUSES
-             and len(covers) <= _EXACT_MAX_COVERS)
-    keys = []
+    small = len(soft_masks) <= _EXACT_MAX_CANDIDATES and n_soft <= _EXACT_MAX_CLAUSES
+    exact = [small and sum(len(c) <= b for c in covers) <= _EXACT_MAX_COVERS for b in budgets]
+    best: list[tuple | None] = [None] * len(budgets)
     for cover in covers:
-        residual = budget - len(cover)
-        if exact:
-            keys.append(_max_coverage_exact(cover, soft, residual))
-        else:
-            sel = [*cover, *_greedy_cover(soft_masks, _uncovered(soft, cover), residual)]
-            keys.append(_plan_key(n_soft - _uncovered(soft, sel).bit_count(), sel))
-    return _plan(min(keys)[2], hard, soft, feasible=True, exact=exact)
+        counts = None  # soft clauses covered after each greedy pick, the first entry before any
+        for i, b in enumerate(budgets):
+            residual = b - len(cover)
+            if residual < 0:
+                continue
+            if exact[i]:
+                key = _max_coverage_exact(cover, soft, residual)
+            else:
+                if counts is None:
+                    uncovered = _uncovered(soft, cover)
+                    picks = _greedy_cover(soft_masks, uncovered, budgets[-1] - len(cover))
+                    counts = [n_soft - uncovered.bit_count()]
+                    for v in picks:
+                        uncovered &= ~soft_masks[v]
+                        counts.append(n_soft - uncovered.bit_count())
+                key = _plan_key(counts[min(residual, len(picks))], (*cover, *picks[:residual]))
+            if best[i] is None or key < best[i]:
+                best[i] = key
+    return [None if key is None else _plan(key[2], hard, soft, feasible=True, exact=exact[i])
+            for i, key in enumerate(best)]
 
 
 def _greedy_plan(hard, soft, budget: int) -> HardeningPlan:
@@ -259,11 +275,12 @@ def optimize(instance: HardeningInstance) -> HardeningPlan:
     ``budget`` APIs with the smallest :func:`_plan_key`: every selection
     holds a minimal hard cover, which :func:`_best_plan` extends exactly.
     Above the size limits each cover is extended greedily and the plan is
-    flagged via ``exact=False``.
+    flagged via ``exact=False``.  This is the sweep's plan rule at the one
+    budget ``[budget]``.
     """
     hard = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
     covers = _hard_covers(hard.clauses, instance.n_vars, instance.budget)
-    plan = _best_plan(*_indexes(instance), covers, instance.budget)
+    [plan] = _best_plan(*_indexes(instance), covers, [instance.budget])
     if plan is None:
         raise InfeasibleBudgetError(f"hard clauses unsatisfiable within budget {instance.budget}")
     return plan
@@ -288,7 +305,8 @@ def budget_sweep(
     """Evaluate selection plans across increasing budgets.
 
     The exact method runs one hard-cover search, at the largest budget,
-    and hands each level the covers that fit it; each level's plan follows
+    and one :func:`_best_plan` call over all the budgets, which hands each
+    level the covers that fit it; each level's plan follows
     :func:`optimize`'s rule.
 
     Coverage metrics come from the plans.  The residual-validity metric
@@ -332,15 +350,13 @@ def budget_sweep(
     if method == "exact":
         # the minimal covers within each budget are this search's covers of that size or less
         covers = _hard_covers(dict.fromkeys(hard_clauses), system.n_vars, budgets[-1])
+        plans = _best_plan(hard_index, soft_index, covers, budgets)
+    else:
+        plans = [plan if plan.feasible else None
+                 for plan in (_greedy_plan(hard_index, soft_index, b) for b in budgets)]
     levels: list[SweepLevel] = []
     prev: tuple[int, int] | None = None  # (budget, soft_covered) of last feasible level
-    for b in budgets:
-        if method == "exact":
-            plan = _best_plan(hard_index, soft_index, covers, b)
-        else:
-            plan = _greedy_plan(hard_index, soft_index, b)
-            if not plan.feasible:
-                plan = None
+    for b, plan in zip(budgets, plans):
         if plan is None:
             levels.append(SweepLevel(budget=b, plan=None, cr=None, mcg=None, afvr=None, feasible=False))
             continue

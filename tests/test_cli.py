@@ -333,6 +333,18 @@ class TestInject:
             assert len(doc["valid_faults"]) == 4
             assert all(len(f["vars"]) == len(f["symbols"]) for f in doc["valid_faults"])
 
+    def test_manifest_times_campaigns_and_write(self, tmp_path, capsys):
+        system = gen_system(tmp_path, capsys)
+        out_dir = tmp_path / "camp"
+        code, _, err = run(
+            ["inject", "--system", str(system), "--all", "--kmax", "2", "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        manifest = json.loads((out_dir / "summary.csv.manifest.json").read_text())
+        assert set(manifest["timings_ms"]) == {"campaigns", "write"}
+        assert all(ms > 0 for ms in manifest["timings_ms"].values())
+
     def test_static_never_fewer_injections(self, tmp_path, capsys):
         system = gen_system(tmp_path, capsys, edges=9, requests=2)
         for flags, name in [([], "dyn"), (["--static"], "stat")]:
@@ -811,6 +823,22 @@ def strip_timings(doc):
     return doc
 
 
+@pytest.fixture(scope="module")
+def fleet_campaigns(tmp_path_factory):
+    """The fleet system file (seed 1) and its ``inject --all --kmax 3`` directory."""
+    base = tmp_path_factory.mktemp("fleet")
+    system, camp = base / "sys.json", base / "camp"
+    argvs = [
+        ["gen", "--groups", "2", "--edges", "40", "--bones", "3", "--requests", "8",
+         "--share", "0.3", "--seed", "1", "--out", str(system)],
+        ["inject", "--system", str(system), "--all", "--kmax", "3", "--out-dir", str(camp)],
+    ]
+    for argv in argvs:
+        with redirect_stderr(StringIO()):
+            assert main(argv) == EXIT_OK
+    return system, camp
+
+
 class TestDeterminism:
     def test_identical_flags_identical_outputs(self, tmp_path, capsys):
         results = []
@@ -848,6 +876,31 @@ class TestDeterminism:
                         assert ra[key] == rb[key]
         assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
         assert (a / "plan.csv").read_bytes() == (b / "plan.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "high, plan_json, plan_csv",
+        [
+            ("auto-topfreq:1",
+             "21a6617f0c5abd4f636654d230643a66923385e96519744ec0f3a041515ca4c4",
+             "03054e37792622dd9372af496f5618e89f90b77c0269ab4077af8d09d7767dd6"),
+            ("0,3",
+             "37c19375e48720a0949da0a0d82cf4eab0f3c14fc88d7de99f6b7a7b41b78930",
+             "2d712a2a5149139dbe1e336a2ca039ef4fdfe082f66e078c0c4a22282d1664c9"),
+        ],
+        ids=["topfreq", "two-high"],
+    )
+    def test_fleet_plan_golden_bytes(self, fleet_campaigns, capsys, high, plan_json, plan_csv):
+        # the benchmark's fleet system at seed 1, run ids included
+        system, camp = fleet_campaigns
+        out = camp.parent / f"plan-{high.replace(':', '-').replace(',', '-')}.json"
+        code, _, err = run(
+            ["harden", "--system", str(system), "--campaign-dir", str(camp),
+             "--high", high, "--budgets", "8,16,32,64", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == plan_json
+        assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == plan_csv
 
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     def test_fault_order_leaves_plan_alone(self, tmp_path, campaign_docs, capsys, method):
@@ -951,3 +1004,18 @@ class TestCampaignFile:
         assert text.isascii()
         if symbol[2] is True:
             assert "\n          true\n" in text
+
+    @pytest.mark.parametrize("batch", [cli._BATCH_FAULTS, 2], ids=["default-batch", "batch-of-2"])
+    @pytest.mark.parametrize("shape", ["alternating", "long-run"])
+    def test_runs_and_batches(self, result, monkeypatch, batch, shape):
+        monkeypatch.setattr(cli, "_BATCH_FAULTS", batch)
+        table = {v: ("svc", f"/api{v}", v % 3) for v in range(40)}
+        if shape == "alternating":
+            lengths = [1, 3, 2, 3, 1, 1, 2, 2, 2, 3, 1]
+        else:  # a run longer than two batches, between two short ones
+            lengths = [1] + [2] * (2 * batch + 3) + [3]
+        faults = tuple(tuple(range(i % 30, i % 30 + n)) for i, n in enumerate(lengths))
+        result = dataclasses.replace(result, valid_faults=faults)
+        assert_same_text(result, table)
+        pieces = list(_dump_campaign(result, "dynamic", "0123456789ab", _fault_fragments(table)))
+        assert max(piece.count('"symbols"') for piece in pieces) <= batch

@@ -701,6 +701,31 @@ class TestSweepReuse:
                     seen |= {"repeated" for fs in faults.values() if len(set(map(frozenset, fs))) < len(fs)}
         assert seen == {"empty hard", "hard", "infeasible", "exact", "approx", "repeated"}
 
+    @pytest.mark.parametrize("high", [[2], [0, 3]], ids=["topfreq", "two-high"])
+    def test_fleet_equals_fresh_levels(self, fleet, high):
+        system, faults = fleet
+        budgets = [8, 16, 32, 64]
+        got = sweep_plans(system, faults, high, budgets, "exact")
+        assert got == fresh_sweep(system, faults, high, budgets, "exact")
+        # the soft side is past the exact-mode limits; two high requests need more than 8 APIs
+        assert [plan is not None and plan.exact for plan in got] == [False] * 4
+        assert (got[0] is None) == (high == [0, 3])
+
+    def test_exactness_changes_inside_one_sweep(self):
+        # hard clauses {a, x_i, y_i}: {a} is the one cover of size 1 and
+        # picking x_i or y_i for every i gives 1,024 more, of size 10
+        system = generate_system(GenParams(
+            group_num=2, edge_num=20, bone_num=3, n_requests=6, shared_api_fraction=0.3, seed=1,
+        ))
+        a, b, c, d, e = range(21, 26)
+        hard = [(a, i, 10 + i) for i in range(1, 11)]
+        soft = [(1, b), (c, d), (12, e), (b, c), (a, d), (e,)]
+        faults = {0: hard, 1: soft}
+        budgets = [1, 5, 10, 12]
+        got = sweep_plans(system, faults, [0], budgets, "exact")
+        assert [plan.exact for plan in got] == [True, True, False, False]
+        assert got == fresh_sweep(system, faults, [0], budgets, "exact")
+
     def test_one_cover_search_per_exact_sweep(self, monkeypatch):
         searches = 0
         search = hardening.enumerate_minimal
