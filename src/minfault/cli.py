@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -62,24 +63,68 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """An integer flag value: ASCII digits with an optional leading ``-``.
+
+    ``int`` alone would also read ``+2``, ``1_0``, ``٣`` and padding
+    spaces.  A ``-`` is kept so that range checks name a negative value.
+    """
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_atomic(path: Path, chunks: Iterable[str]) -> str:
-    """Write the text chunks to ``path`` and return the SHA-256 of its bytes.
+# Every output is written in chunks of at most this many characters: a
+# string or bytes object past glibc's default mmap threshold (128 KiB,
+# mallopt(3)) gets fresh pages from the kernel, each faulted in on first
+# write, where one below it reuses the heap's.  The bound is set by that
+# threshold, not by memory use.
+_CHUNK_CHARS = 1 << 16
 
-    The chunks go to a ``.tmp`` sibling that ``os.replace`` then moves
-    over ``path``, so readers see the whole file or none of it.  When
-    writing fails, or producing a chunk raises, the ``.tmp`` file is
-    removed and ``path`` is left as it was.
+
+def _chunked(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces`` joined into chunks of at most ``_CHUNK_CHARS``.
+
+    The parts held so far are yielded before a piece would take the chunk
+    past the bound, so only a single piece longer than the bound makes a
+    longer chunk, and it is passed on whole.
+    """
+    parts: list[str] = []
+    size = 0
+    for text in pieces:
+        if parts and size + len(text) > _CHUNK_CHARS:
+            yield "".join(parts)
+            parts = []
+            size = 0
+        parts.append(text)
+        size += len(text)
+    if parts:
+        yield "".join(parts)
+
+
+def _write_atomic(path: Path, pieces: Iterable[str]) -> str:
+    """Write the text pieces to ``path`` and return the SHA-256 of its bytes.
+
+    The pieces are joined into chunks by ``_chunked``, and each chunk is
+    encoded and written in turn, so nothing holds the whole file.  The
+    chunks go to a ``.tmp`` sibling that ``os.replace`` then moves over
+    ``path``, so readers see the whole file or none of it.  When writing
+    fails, or producing a piece raises, the ``.tmp`` file is removed and
+    ``path`` is left as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
+            for chunk in _chunked(pieces):
                 data = chunk.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
@@ -116,8 +161,9 @@ def _fault_fragments(symbol_table):
     return fragments
 
 
-# ``_dump_campaign`` formats at most this many faults per piece
-_BATCH_FAULTS = 4096
+# ``_dump_campaign`` formats at most this many faults per piece: about
+# 42 KB at the fleet's ~330 bytes per fault, under ``_CHUNK_CHARS``
+_BATCH_FAULTS = 128
 # a fragments pair's ``vars`` and ``symbols`` item
 _VARS, _SYMBOLS = itemgetter(0), itemgetter(1)
 
@@ -141,7 +187,8 @@ def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) ->
     each fault's items, read column by column from ``fragments`` (see
     ``_fault_fragments``).  The pure-Python indenting encoder would
     otherwise re-encode every symbol of every fault, and nothing holds
-    the whole file.
+    the whole file, nor, for faults of a few variables, any one piece
+    past ``_write_atomic``'s chunk bound.
     """
     head = _dump_json({
         "run_id": run_id,
@@ -220,28 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a simulated system file")
-    gen.add_argument("--groups", type=int, required=True)
-    gen.add_argument("--edges", type=int, required=True)
-    gen.add_argument("--bones", type=int, required=True)
-    gen.add_argument("--requests", type=int, required=True)
+    gen.add_argument("--groups", type=_decimal, required=True)
+    gen.add_argument("--edges", type=_decimal, required=True)
+    gen.add_argument("--bones", type=_decimal, required=True)
+    gen.add_argument("--requests", type=_decimal, required=True)
     gen.add_argument("--share", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_decimal, default=0)
     gen.add_argument("--out", type=Path, required=True)
 
     solve = sub.add_parser("solve", help="enumerate minimal satisfying assignments")
     solve.add_argument("--cnf", type=Path, required=True)
-    solve.add_argument("--k", type=int, required=True)
+    solve.add_argument("--k", type=_decimal, required=True)
     solve.add_argument("--out", type=Path, default=None, help="default: stdout")
 
     inject = sub.add_parser("inject", help="run fault-injection campaigns")
     inject.add_argument("--system", type=Path, required=True)
     target = inject.add_mutually_exclusive_group(required=True)
-    target.add_argument("--request", type=int, default=None)
+    target.add_argument("--request", type=_decimal, default=None)
     target.add_argument("--all", action="store_true")
-    inject.add_argument("--kmax", type=int, required=True)
+    inject.add_argument("--kmax", type=_decimal, required=True)
     inject.add_argument("--static", action="store_true",
                         help="run the static baseline at the fixed bound --kmax instead")
-    inject.add_argument("--jobs", type=int, choices=[1], default=1)
+    inject.add_argument("--jobs", type=_decimal, choices=[1], default=1)
     inject.add_argument("--out-dir", type=Path, required=True)
 
     harden = sub.add_parser("harden", help="select call sites to harden under budgets")
@@ -281,25 +328,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# ``solve`` and ``inject`` join their output into chunks of about this many characters
-_CHUNK_CHARS = 1 << 20
-
-
-def _chunked(pieces: Iterable[str]) -> Iterator[str]:
-    """The text of ``pieces`` joined into chunks of about ``_CHUNK_CHARS``."""
-    parts: list[str] = []
-    size = 0
-    for text in pieces:
-        parts.append(text)
-        size += len(text)
-        if size >= _CHUNK_CHARS:
-            yield "".join(parts)
-            parts = []
-            size = 0
-    if parts:
-        yield "".join(parts)
-
-
 def _solution_text(blocks, names: dict[int, str]) -> Iterator[str]:
     """``solve``'s output text for the solver's blocks, one piece per block.
 
@@ -324,9 +352,10 @@ def cmd_solve(args) -> int:
     """Stream the sorted minimal solutions to ``--out`` (atomically) or stdout.
 
     Nothing holds the whole output: the solver's blocks are formatted
-    and written in chunks of about 1 MB, and the manifest's digest is
-    computed on the way.  The ``solve`` timing covers search, formatting
-    and writing, which interleave.
+    one piece per block and written in chunks of at most
+    ``_CHUNK_CHARS`` (``_chunked``, which ``_write_atomic`` also uses),
+    and the manifest's digest is computed on the way.  The ``solve``
+    timing covers search, formatting and writing, which interleave.
     """
     if args.k < 0:
         raise UsageError("--k must be >= 0")
@@ -336,10 +365,10 @@ def cmd_solve(args) -> int:
     manifest.add_input(args.cnf, data)
     # only the variables that occur: the header may declare any number
     names = {v: str(v + 1) for v in cnf.variables()}
-    chunks = _chunked(_solution_text(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names))
+    pieces = _solution_text(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names)
     if args.out is None:
         try:
-            for chunk in chunks:
+            for chunk in _chunked(pieces):
                 sys.stdout.write(chunk)
             sys.stdout.flush()
         except BrokenPipeError:
@@ -350,7 +379,7 @@ def cmd_solve(args) -> int:
             os.close(devnull)
         return EXIT_OK
     t0 = time.perf_counter()
-    manifest.add_output(args.out, _write_atomic(args.out, chunks))
+    manifest.add_output(args.out, _write_atomic(args.out, pieces))
     manifest.timings_ms["solve"] = (time.perf_counter() - t0) * 1e3
     manifest.write(args.out)
     return EXIT_OK
@@ -399,7 +428,7 @@ def cmd_inject(args) -> int:
         t0 = time.perf_counter()
         out_file = args.out_dir / f"request_{rid}.json"
         pieces = _dump_campaign(result, mode, manifest.run_id, fragments)
-        manifest.add_output(out_file, _write_atomic(out_file, _chunked(pieces)))
+        manifest.add_output(out_file, _write_atomic(out_file, pieces))
         write_s += time.perf_counter() - t0
         times = result.wall_times
         writer.writerow([rid, result.injections, result.solver_calls, len(result.valid_faults),
@@ -418,16 +447,16 @@ def cmd_inject(args) -> int:
 def _parse_high(spec: str, system) -> list[int]:
     if spec.startswith("auto-topfreq:"):
         try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
+            n = _decimal(spec.split(":", 1)[1])
+        except argparse.ArgumentTypeError:
             raise UsageError(f"bad --high value {spec!r}") from None
         if n < 0:
             raise UsageError("auto-topfreq count must be >= 0")
         ranked = sorted(system.request_frequency, key=lambda p: (-p[1], p[0]))
         return [rid for rid, _ in ranked[:n]]
     try:
-        ids = [int(tok) for tok in spec.split(",") if tok != ""]
-    except ValueError:
+        ids = [_decimal(tok) for tok in spec.split(",") if tok != ""]
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad --high value {spec!r}") from None
     return list(dict.fromkeys(ids))
 
@@ -491,8 +520,8 @@ def cmd_harden(args) -> int:
     for rid in high:
         system.request(rid)
     try:
-        budgets = [int(tok) for tok in args.budgets.split(",") if tok != ""]
-    except ValueError:
+        budgets = [_decimal(tok) for tok in args.budgets.split(",") if tok != ""]
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad --budgets value {args.budgets!r}") from None
 
     t0 = time.perf_counter()

@@ -14,6 +14,7 @@ import tempfile
 import weakref
 from contextlib import redirect_stderr
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,20 @@ from minfault.solver import SolverConfig, iter_minimal
 from test_simulation import BOOLEAN_FIELDS, boolean_system_file
 
 FIG_CNF = "p mcnf 4 3\n1 2 0\n2 3 0\n1 4 0\n"  # (A|B)(B|C)(A|D)
+
+# SHA-256 of ``solve --k 4`` output, pinned before blocks shared their
+# tails: 185,761 lines, and 1,100 lines from classes whose ids interleave
+# (sets {B, D} and {A, C, D}, ids 7 apart)
+SOLVE_GOLDEN = [
+    ("request-2-50-2", "fe7383272304067f295fdff55796eaf37b548fa73b571d215a8fcfa1358cd391"),
+    ("interleaved", "c781a59ebe4655f3a9b017c247d47f9b140e892b1f5b2caa527e827f348c2613"),
+]
+
+
+def golden_cnf(case):
+    if case == "interleaved":
+        return make_cnf([{7 * v for v in range(40) if v % 4 in rems} for rems in ((0, 1), (1, 2), (3,))], 280)
+    return request_cnf(2, 50, 2)
 
 
 def run(argv, capsys):
@@ -251,23 +266,41 @@ class TestSolve:
         assert manifest["outputs"] == {str(dest): hashlib.sha256(want.encode()).hexdigest()}
         assert not (tmp_path / "sols.txt.tmp").exists()
 
-    @pytest.mark.parametrize("case, digest", [
-        ("request-2-50-2", "fe7383272304067f295fdff55796eaf37b548fa73b571d215a8fcfa1358cd391"),
-        ("interleaved", "c781a59ebe4655f3a9b017c247d47f9b140e892b1f5b2caa527e827f348c2613"),
-    ])
+    @pytest.mark.parametrize("case, digest", SOLVE_GOLDEN)
     def test_golden_bytes(self, tmp_path, case, digest):
-        # SHA-256 of ``solve --k 4`` output, pinned before blocks shared
-        # their tails: 185,761 lines, and 1,100 lines from classes whose
-        # ids interleave (sets {B, D} and {A, C, D}, ids 7 apart)
-        if case == "interleaved":
-            cnf = make_cnf([{7 * v for v in range(40) if v % 4 in rems} for rems in ((0, 1), (1, 2), (3,))], 280)
-        else:
-            cnf = request_cnf(2, 50, 2)
         f = tmp_path / "f.cnf"
-        f.write_text(serialize_cnf(cnf))
+        f.write_text(serialize_cnf(golden_cnf(case)))
         dest = tmp_path / "sols.txt"
         assert main(["solve", "--cnf", str(f), "--k", "4", "--out", str(dest)]) == EXIT_OK
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bound", [1, 7, cli._CHUNK_CHARS, 1 << 20],
+                             ids=["bound-1", "bound-7", "default-bound", "bound-1MiB"])
+    @pytest.mark.parametrize("case, digest", SOLVE_GOLDEN)
+    def test_chunk_bound_leaves_bytes_alone(self, tmp_path, capsys, monkeypatch, case, digest, bound):
+        monkeypatch.setattr(cli, "_CHUNK_CHARS", bound)
+        f = tmp_path / "f.cnf"
+        f.write_text(serialize_cnf(golden_cnf(case)))
+        dest = tmp_path / "sols.txt"
+        code, out, err = run(["solve", "--cnf", str(f), "--k", "4"], capsys)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, _, err = run(["solve", "--cnf", str(f), "--k", "4", "--out", str(dest)], capsys)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+        manifest = json.loads((tmp_path / "sols.txt.manifest.json").read_text())
+        assert manifest["outputs"] == {str(dest): digest}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40) | st.integers(0, 2 * cli._CHUNK_CHARS), max_size=12))
+    def test_chunks_stay_under_the_bound(self, lengths):
+        # consecutive pieces differ in their letter, so a chunk equal to
+        # some piece holds that one piece's text and nothing else
+        pieces = [chr(ord("a") + i % 26) * n for i, n in enumerate(lengths)]
+        chunks = list(cli._chunked(pieces))
+        assert "".join(chunks) == "".join(pieces)
+        for chunk in chunks:
+            assert len(chunk) <= cli._CHUNK_CHARS or chunk in pieces
 
     def test_failure_mid_stream_leaves_no_output(self, tmp_path, monkeypatch):
         f = tmp_path / "f.cnf"
@@ -277,8 +310,8 @@ class TestSolve:
         blocks = cli.iter_sorted_blocks
 
         def failing(cnf, config):
-            # 431 blocks of about 4.9 kB of text each; the first 1 MB chunk
-            # is written after about 210 of them
+            # 431 blocks of about 4.9 kB of text each; the first 64 KiB
+            # chunk is written after about 13 of them
             for i, block in enumerate(blocks(cnf, config)):
                 if i == 400:
                     assert tmp.stat().st_size > 0  # some chunks were written
@@ -618,6 +651,81 @@ class TestHarden:
             capsys,
         )
         assert code == EXIT_USAGE
+
+
+# integer flag values ``int`` reads (as 3, 10, 1 and 2) but the CLI refuses
+NOT_DECIMAL = ["٣", "1_0", "+1", " 2"]
+
+
+class TestIntegerFlags:
+    """Every integer a flag holds is ASCII digits with an optional leading ``-``."""
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    @pytest.mark.parametrize("flag", ["--groups", "--edges", "--bones", "--requests", "--seed"])
+    def test_gen(self, tmp_path, capsys, flag, value):
+        flags = {"--groups": "2", "--edges": "50", "--bones": "2", "--requests": "3", "--seed": "7"}
+        flags[flag] = value
+        out = tmp_path / "sys.json"
+        code, _, err = run(["gen", *chain.from_iterable(flags.items()), "--out", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert f"argument {flag}: not a decimal integer: {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    def test_solve(self, tmp_path, capsys, value):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(FIG_CNF)
+        code, out, err = run(["solve", "--cnf", str(cnf), "--k", value], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --k: not a decimal integer: {value!r}" in err
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    @pytest.mark.parametrize("flag", ["--request", "--kmax", "--jobs"])
+    def test_inject(self, tmp_path, capsys, flag, value):
+        system = gen_system(tmp_path, capsys)
+        flags = {"--request": "0", "--kmax": "2", "--jobs": "1"}
+        flags[flag] = value
+        camp = tmp_path / "camp"
+        code, _, err = run(["inject", "--system", str(system), *chain.from_iterable(flags.items()),
+                            "--out-dir", str(camp)], capsys)
+        assert code == EXIT_USAGE
+        assert f"argument {flag}: not a decimal integer: {value!r}" in err
+        assert not camp.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        *(("--budgets", v) for v in [*NOT_DECIMAL, "٨, 1_6", "8,1_6", "2,+4"]),
+        *(("--high", v) for v in [*NOT_DECIMAL, "0,+1", "auto-topfreq:+1", "auto-topfreq:٣",
+                                  "auto-topfreq: 1"]),
+    ])
+    def test_harden(self, tmp_path, campaign_docs, capsys, flag, value):
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", docs)
+        flags = {"--high": "auto-topfreq:1", "--budgets": "1,64"}
+        flags[flag] = value
+        out = tmp_path / "plan.json"
+        code, _, err = run(["harden", "--system", str(system), "--campaign-dir", str(tmp_path / "camp"),
+                            *chain.from_iterable(flags.items()), "--out", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert f"bad {flag} value {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--k", "-1"], "--k must be >= 0"),
+        (["harden", "--high", "auto-topfreq:-1"], "auto-topfreq count must be >= 0"),
+    ])
+    def test_minus_reaches_the_range_check(self, tmp_path, campaign_docs, capsys, argv, message):
+        system, docs = campaign_docs
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(FIG_CNF)
+        write_campaign(tmp_path / "camp", docs)
+        rest = {
+            "solve": ["--cnf", str(cnf)],
+            "harden": ["--system", str(system), "--campaign-dir", str(tmp_path / "camp"),
+                       "--budgets", "1,64", "--out", str(tmp_path / "plan.json")],
+        }[argv[0]]
+        code, _, err = run([*argv, *rest], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
 
 
 def harden_argv(system, camp, out):
@@ -1019,3 +1127,15 @@ class TestCampaignFile:
         assert_same_text(result, table)
         pieces = list(_dump_campaign(result, "dynamic", "0123456789ab", _fault_fragments(table)))
         assert max(piece.count('"symbols"') for piece in pieces) <= batch
+
+    def test_fleet_pieces_stay_under_the_chunk_bound(self):
+        # so ``_write_atomic`` joins every piece into a bounded chunk
+        system = generate_system(GenParams(group_num=2, edge_num=40, bone_num=3, n_requests=8,
+                                           shared_api_fraction=0.3, seed=1))
+        fragments = _fault_fragments(system.symbol_table)
+        longest = 0
+        for req in system.requests:
+            result = run_campaign(system, CampaignConfig(request_id=req.request_id, k_max=3))
+            pieces = _dump_campaign(result, "dynamic", "0123456789ab", fragments)
+            longest = max(longest, *map(len, pieces))
+        assert longest < cli._CHUNK_CHARS
