@@ -24,7 +24,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -34,10 +33,9 @@ from pathlib import Path
 
 from . import __version__
 from .campaign import CampaignConfig, CampaignResult, run_campaign, run_campaign_static
-from .cnf import parse_cnf
+from .cnf import _decimal as _cnf_decimal, parse_cnf
 from .errors import (
     CnfParseError,
-    InfeasibleBudgetError,
     MinfaultError,
     ParameterError,
     SchemaError,
@@ -63,18 +61,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _decimal(text: str) -> int:
-    """An integer flag value: ASCII digits with an optional leading ``-``.
+    """An integer flag value, by the formula file's rule (``cnf._decimal``).
 
-    ``int`` alone would also read ``+2``, ``1_0``, ``٣`` and padding
-    spaces.  A ``-`` is kept so that range checks name a negative value.
+    That is ASCII digits with an optional leading ``-``: ``int`` alone
+    would also read ``+2``, ``1_0``, ``٣`` and padding spaces.  A ``-``
+    is kept so that range checks name a negative value.
     """
-    if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
-    return int(text)
+    try:
+        return _cnf_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}") from None
+
+
+def _fraction(text: str) -> float:
+    """``gen --share``'s value: the digits of :func:`_decimal`, optionally
+    followed by ``.`` and ASCII digits, then read by ``float``.
+
+    ``float`` alone would also read ``٠.٣``, `` 0.3``, ``1_0``, ``1e-1``
+    and ``nan``.
+    """
+    whole, dot, frac = text.partition(".")
+    try:
+        _cnf_decimal(whole)
+        if dot:
+            _cnf_decimal("-" + frac)  # reads only if ``frac`` is digits, unsigned and not empty
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from None
+    return float(text)
 
 
 def _sha256(data: bytes) -> str:
@@ -271,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--edges", type=_decimal, required=True)
     gen.add_argument("--bones", type=_decimal, required=True)
     gen.add_argument("--requests", type=_decimal, required=True)
-    gen.add_argument("--share", type=float, default=0.0)
+    gen.add_argument("--share", type=_fraction, default=0.0)
     gen.add_argument("--seed", type=_decimal, default=0)
     gen.add_argument("--out", type=Path, required=True)
 
@@ -601,9 +615,6 @@ def main(argv=None) -> int:
     except (CnfParseError, SchemaError, UnknownRequestError, ParameterError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleBudgetError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,13 +16,15 @@ It prunes with the disjoint-clause lower bound (Gainer-Dewar &
 Vera-Licona, SIAM J. Discrete Math. 31, 2017): a set of pairwise-disjoint
 uncovered clauses needs as many more variables.
 
-The search encodes the clauses once, as bitmasks: each variable's cover
-mask over clause indices, and each clause's variables as a mask over
-variable ids, whose unbanned bits a node branches on.  A node that may
-add only one more variable does not branch: its leaves are the unbanned
-bits of the AND of the uncovered clauses' masks that leave every chosen
-variable a crit clause.  Path formulas have long clauses and few such
-variables, so most last-level nodes end after a few mask ANDs.
+The search runs over twin classes (below) with three bitmask tables
+that ``_twin_classes`` builds once from the classes' cover masks: each
+class's cover mask over clause indices, each clause's classes as a mask
+(a node branches on its unbanned bits), and each clause's mask of the
+clauses sharing no class with it.  A node that may add only one more
+class does not branch: its leaves are the unbanned bits of the AND of
+the uncovered clauses' masks that leave every chosen class a crit
+clause.  Path formulas have long clauses and few such classes, so most
+last-level nodes end after a few mask ANDs.
 
 Every search collapses twin variables, those occurring in exactly the
 same clauses, a reduction from the same survey.  It is exact: a minimal
@@ -95,25 +97,30 @@ def _cover_masks(clauses: Iterable[Iterable[int]]) -> dict[int, int]:
     return cover
 
 
-def _twin_classes(clauses: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """The twin classes of ``clauses``' variables, and the clauses over class indices.
+def _twin_classes(clauses: Sequence[Iterable[int]]) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """The twin classes of ``clauses``' variables, and :func:`_search`'s tables over them.
 
     Classes are ascending lists of variables with one cover mask, ordered
-    by smallest member; class clause ``j`` lists, ascending, the classes
-    in clause ``j``.  The class clauses come from the classes' cover-mask
-    bits, so no variable is visited twice.
+    by smallest member.  The tables are each class's cover mask (the key
+    its members are grouped by), each clause's classes as a mask, and each
+    clause's mask of the clauses sharing no class with it; one walk over
+    the cover masks' bits fills the last two.
     """
     cover = _cover_masks(clauses)
     twins: dict[int, list[int]] = {}
     for v in sorted(cover):
         twins.setdefault(cover[v], []).append(v)
-    class_clauses: list[list[int]] = [[] for _ in clauses]
+    members = [0] * len(clauses)
+    apart = [-1] * len(clauses)
     for i, mask in enumerate(twins):
+        bit, keep = 1 << i, ~mask
         while mask:
             low = mask & -mask
             mask ^= low
-            class_clauses[low.bit_length() - 1].append(i)
-    return list(twins.values()), class_clauses
+            j = low.bit_length() - 1
+            members[j] |= bit
+            apart[j] &= keep
+    return list(twins.values()), list(twins), members, apart
 
 
 def iter_minimal(
@@ -142,35 +149,25 @@ def iter_minimal(
     """
     if counters is None:
         counters = SolverCounters()
-    classes, clauses = _twin_classes(cnf.clauses)
-    for rs in _search(clauses, config.max_size, counters):
+    classes, *tables = _twin_classes(cnf.clauses)
+    for rs in _search(*tables, config.max_size, counters):
         for choice in itertools.product(*[classes[c] for c in rs]):
             counters.leaf_hits += 1
             yield tuple(sorted(choice))
 
 
 def _search(
-    clauses: Sequence[Iterable[int]], maxd: int, counters: SolverCounters
+    cover: Sequence[int], members: Sequence[int], apart: Sequence[int], maxd: int, counters: SolverCounters
 ) -> Iterator[FaultSet]:
-    """:func:`iter_minimal`'s search over ``clauses``, iterables of non-negative variable ids.
+    """:func:`iter_minimal`'s search over :func:`_twin_classes`' tables, with no setup of its own.
 
-    Their one encoding: each variable's cover mask, each clause's variables
-    as a mask over ids (a node branches on its unbanned bits, lowest first),
-    and each clause's mask of the clauses sharing none of them.  With no
-    clauses the root is the one leaf, ``()``.  Yields ascending tuples of
-    variables and leaves ``counters.leaf_hits`` to the caller.
+    ``cover[v]`` is variable ``v``'s mask over clause indices, ``members[j]``
+    clause ``j``'s variables as a mask over ids (a node branches on its
+    unbanned bits, lowest first), and ``apart[j]`` the mask of the clauses
+    sharing no variable with clause ``j``.  With no clauses the root is the
+    one leaf, ``()``.  Yields ascending tuples of variables and leaves
+    ``counters.leaf_hits`` to the caller.
     """
-    cover = _cover_masks(clauses)
-    members = []
-    apart = []
-    for c in clauses:
-        vmask = 0
-        clash = 0
-        for v in c:
-            vmask |= 1 << v
-            clash |= cover[v]
-        members.append(vmask)
-        apart.append(~clash)
     # (uncovered clauses, banned variables' mask, chosen variables, their crit masks)
     stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << len(members)) - 1, 0, (), ())]
     while stack:
@@ -254,8 +251,8 @@ def iter_sorted_blocks(cnf: MonotoneCnf, config: SolverConfig) -> Iterator[Block
     grows with the class-level sets and the formula, not with the
     expanded output.
     """
-    classes, clauses = _twin_classes(cnf.clauses)
-    sets = list(_search(clauses, config.max_size, SolverCounters()))
+    classes, *tables = _twin_classes(cnf.clauses)
+    sets = list(_search(*tables, config.max_size, SolverCounters()))
     yield from _expand_in_order(classes, sets, max(_BLOCK_TAILS, cnf.n_vars))
 
 

@@ -13,7 +13,7 @@ from minfault.campaign import (
     run_campaign_static,
 )
 from minfault.cnf import conjoin, is_satisfied, make_cnf
-from minfault.errors import ParameterError, UnknownRequestError
+from minfault.errors import MinfaultError, ParameterError, UnknownRequestError
 from minfault.simulation import GenParams, execute, generate_system, ground_truth_paths
 from minfault.solver import brute_force_minimal
 from test_simulation import tiny_system
@@ -119,6 +119,12 @@ class TestRunCampaign:
         with pytest.raises(UnknownRequestError):
             run_campaign(system, CampaignConfig(request_id=5, k_max=1))
 
+    def test_request_without_paths_fails_uninjected(self):
+        # every path is broken before any fault is injected
+        system = tiny_system([], 1)
+        with pytest.raises(MinfaultError, match="request 0 fails with no injected faults"):
+            run_campaign(system, CampaignConfig(request_id=0, k_max=1))
+
     def test_k_max_validated(self):
         with pytest.raises(ParameterError):
             CampaignConfig(request_id=0, k_max=0)
@@ -206,6 +212,10 @@ class TestStaticBaseline:
         system = tiny_system([{0, 1}, {2, 3}], 4)
         res = run_campaign_static(system, 0, 1)
         assert res.valid_faults == ()
+
+    def test_fixed_bound_validated(self):
+        with pytest.raises(ParameterError, match="k_fixed must be >= 1, got 0"):
+            run_campaign_static(tiny_system([{0}], 1), 0, 0)
 
     def test_group_bound_finds_skeleton_faults(self):
         g, e, b = 2, 9, 2

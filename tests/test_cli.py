@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import gc
@@ -39,7 +40,8 @@ from minfault.cli import (
     main,
 )
 from minfault.cnf import compute_stats, make_cnf, parse_cnf, serialize_cnf
-from minfault.simulation import GenParams, generate_system, load_system
+from minfault.errors import MinfaultError
+from minfault.simulation import GenParams, generate_system, load_system, system_to_json
 from minfault.solver import SolverConfig, iter_minimal
 from test_simulation import BOOLEAN_FIELDS, boolean_system_file
 
@@ -403,6 +405,37 @@ class TestInject:
         )
         assert code == EXIT_INPUT
 
+    def test_kmax_below_one(self, tmp_path, capsys):
+        system = gen_system(tmp_path, capsys)
+        camp = tmp_path / "camp"
+        code, _, err = run(["inject", "--system", str(system), "--all", "--kmax", "0",
+                            "--out-dir", str(camp)], capsys)
+        assert code == EXIT_USAGE
+        assert "--kmax must be >= 1" in err
+        assert not camp.exists()
+
+    def test_failed_campaign_is_an_error_row(self, tmp_path, capsys, monkeypatch):
+        system = gen_system(tmp_path, capsys)
+        real = cli.run_campaign
+
+        def fail_request_1(system, config):
+            if config.request_id == 1:
+                raise MinfaultError("request 1 fails with no injected faults")
+            return real(system, config)
+
+        monkeypatch.setattr(cli, "run_campaign", fail_request_1)
+        camp = tmp_path / "camp"
+        code, _, err = run(["inject", "--system", str(system), "--all", "--kmax", "2",
+                            "--out-dir", str(camp)], capsys)
+        assert code == EXIT_OK, err
+        rows = csv_rows(camp / "summary.csv")
+        assert [row["request_id"] for row in rows] == ["0", "1", "2"]
+        assert rows[1]["error"] == "request 1 fails with no injected faults"
+        assert rows[1]["valid_faults"] == rows[1]["fault_injection_number"] == ""
+        assert rows[0]["error"] == rows[2]["error"] == ""
+        assert int(rows[0]["valid_faults"]) == int(rows[2]["valid_faults"]) == 4
+        assert sorted(f.name for f in camp.glob("request_*.json")) == ["request_0.json", "request_2.json"]
+
     def test_deeply_nested_system_file(self, tmp_path, capsys):
         system = tmp_path / "sys.json"
         system.write_text("[" * 100_000)  # past the decoder's recursion limit
@@ -728,6 +761,57 @@ class TestIntegerFlags:
         assert message in err
 
 
+# ``--share`` values the CLI refuses; ``float`` reads all but the last two
+NOT_DECIMAL_FRACTION = ["٠.٣", " 0.3", "0.3 ", "1_0", "1e-1", "nan", "inf", "+0.3", "1.", ".5", "-.5",
+                        "0.-3", "0.3.1"]
+
+
+class TestShareFlag:
+    """``--share`` is ASCII digits after an optional ``-``, then optionally ``.`` and digits."""
+
+    def gen(self, tmp_path, capsys, share):
+        out = tmp_path / "sys.json"
+        code, _, err = run(["gen", "--groups", "2", "--edges", "20", "--bones", "2", "--requests", "3",
+                            "--share", share, "--seed", "1", "--out", str(out)], capsys)
+        return code, err, out
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL_FRACTION)
+    def test_not_a_decimal_number(self, tmp_path, capsys, value):
+        code, err, out = self.gen(tmp_path, capsys, value)
+        assert code == EXIT_USAGE
+        assert f"argument --share: not a decimal number: {value!r}" in err
+        assert not out.exists()
+
+    def test_minus_reaches_the_range_check(self, tmp_path, capsys):
+        code, err, out = self.gen(tmp_path, capsys, "-0.5")
+        assert code == EXIT_USAGE
+        assert "shared_api_fraction must be in [0, 1], got -0.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0.3", "0.30", "00.3", "0", "1", "1.0", "0.25"])
+    def test_reads_as_float(self, tmp_path, capsys, value):
+        code, err, out = self.gen(tmp_path, capsys, value)
+        assert code == EXIT_OK, err
+        params = GenParams(group_num=2, edge_num=20, bone_num=2, n_requests=3,
+                           shared_api_fraction=float(value), seed=1)
+        assert out.read_bytes() == system_to_json(generate_system(params)).encode()
+        manifest = json.loads((tmp_path / "sys.json.manifest.json").read_text())
+        assert manifest["params"]["share"] == float(value)
+
+
+def test_no_flag_reads_with_int_or_float():
+    # ``int`` and ``float`` read text the integer and fraction rules refuse
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = 0
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.type not in (int, float), f"{name} {action.option_strings}"
+            checked += action.type is not None
+    assert set(commands.choices) == {"gen", "solve", "inject", "harden"}
+    assert checked >= 10
+
+
 def harden_argv(system, camp, out):
     return ["harden", "--system", str(system), "--campaign-dir", str(camp),
             "--high", "auto-topfreq:1", "--budgets", "1,64", "--out", str(out)]
@@ -765,6 +849,17 @@ json_values = st.recursive(
 
 class TestHardenInputs:
     """Malformed campaign files are input errors (exit 2), never crashes."""
+
+    def test_no_campaign_files(self, tmp_path, campaign_docs, capsys):
+        system, _ = campaign_docs
+        camp = tmp_path / "camp"
+        camp.mkdir()
+        (camp / "summary.csv").write_text("request_id\n")
+        out = tmp_path / "p.json"
+        code, _, err = run(harden_argv(system, camp, out), capsys)
+        assert code == EXIT_INPUT
+        assert f"no request_*.json files in {camp}" in err
+        assert not out.exists()
 
     def test_valid_files(self, tmp_path, campaign_docs, capsys):
         system, docs = campaign_docs

@@ -84,6 +84,10 @@ class TestMakeCnf:
         with pytest.raises(VariableRangeError):
             make_cnf([{-1}], 4)
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(VariableRangeError, match="n_vars must be non-negative, got -1"):
+            make_cnf([], -1)
+
     def test_bool_beside_its_integer_rejected(self):
         # a set would merge True into 1
         with pytest.raises(VariableRangeError, match="True is not an integer"):
@@ -232,6 +236,14 @@ class TestFileFormat:
         # ``str.split`` would read each as if written with ASCII spaces
         with pytest.raises(CnfParseError, match=f"line {line}: whitespace .* other than an ASCII space"):
             parse_cnf(text)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(CnfParseError, match="line 1: header counts must be non-negative"):
+            parse_cnf("p mcnf -1 0\n")
+
+    def test_zero_inside_clause_rejected(self):
+        with pytest.raises(CnfParseError, match="line 2: literal 0 inside clause body"):
+            parse_cnf("p mcnf 2 1\n1 0 2 0\n")
 
     def test_missing_terminator(self):
         with pytest.raises(CnfParseError, match="line 2.*terminator"):

@@ -463,6 +463,8 @@ class TestBudgetSweep:
             budget_sweep(system, faults, high, budgets=[3, 2])
         with pytest.raises(ParameterError):
             budget_sweep(system, faults, high, budgets=[])
+        with pytest.raises(ParameterError, match="budgets must be non-negative"):
+            budget_sweep(system, faults, high, budgets=[-1])
         with pytest.raises(ParameterError):
             budget_sweep(system, faults, high, budgets=[1, 2], method="magic")
 

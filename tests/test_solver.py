@@ -16,6 +16,7 @@ from minfault.simulation import GenParams, generate_system
 from minfault.solver import (
     SolverConfig,
     SolverCounters,
+    _twin_classes,
     brute_force_minimal,
     enumerate_minimal,
     enumerate_minimal_with_counters,
@@ -148,6 +149,10 @@ class TestBruteForce:
     def test_minimality_filter(self):
         # (A|B): the pair {A,B} is satisfying but not minimal
         assert brute_force_minimal(make_cnf([{A, B}], 2), 2) == [(A,), (B,)]
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ParameterError, match="max_size must be >= 0, got -1"):
+            brute_force_minimal(worked_example(), -1)
 
     def test_refuses_large_universe(self):
         with pytest.raises(FormulaTooLargeError):
@@ -419,6 +424,19 @@ class TestTwinClasses:
     def test_empty_formula_and_zero_bound(self):
         assert enumerate_minimal(make_cnf([], 5), SolverConfig(max_size=0)) == [()]
         assert enumerate_minimal(make_cnf([{0, 1}, {0, 1, 2}], 3), SolverConfig(max_size=0)) == []
+
+    @given(st.one_of(cnfs_with_twins(), monotone_cnfs(max_vars=12, max_clauses=8)))
+    @settings(max_examples=300)
+    def test_tables_match_naive_rebuild(self, cnf):
+        classes, cover, members, apart = _twin_classes(cnf.clauses)
+        assert classes == twin_formula(cnf)[1]
+        clauses = [set(c) for c in cnf.clauses]
+        # each class lies wholly inside or wholly outside each clause
+        assert all(set(cls) <= c or not set(cls) & c for cls in classes for c in clauses)
+        assert cover == [sum(1 << j for j, c in enumerate(clauses) if cls[0] in c) for cls in classes]
+        assert members == [sum(1 << i for i, cls in enumerate(classes) if cls[0] in c) for c in clauses]
+        clash = [sum(1 << j for j, d in enumerate(clauses) if c & d) for c in clauses]
+        assert apart == [~mask for mask in clash]
 
     @given(cnfs_with_twins(), st.integers(min_value=0, max_value=8))
     @settings(max_examples=200)
