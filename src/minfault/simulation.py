@@ -26,6 +26,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .errors import ParameterError, SchemaError, UnknownRequestError, VariableRangeError
+from .jsontext import dumps
 
 # the pool grows with the remapped APIs of all requests up to this many
 # slots, but always holds at least one request's worth
@@ -211,6 +212,13 @@ def _require(cond: bool, field: str, message: str):
 
 
 def system_to_json(system: SimulatedSystem) -> str:
+    """The system file's text: its document as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` writes it, and a newline.
+
+    :func:`minfault.jsontext.dumps` writes it: the paths and the symbol
+    table, nearly all of the file, are lists of ints and rows of one shape
+    that it encodes in C.
+    """
     weights = dict(system.request_frequency)
     doc = {
         "format": _FORMAT_TAG,
@@ -220,13 +228,13 @@ def system_to_json(system: SimulatedSystem) -> str:
                 "id": req.request_id,
                 "frequency": weights[req.request_id],
                 "paths": [sorted(p) for p in req.paths],
-                "group_of_path": list(req.group_of_path),
+                "group_of_path": req.group_of_path,
             }
             for req in system.requests
         ],
-        "symbol_table": [list(sym) for sym in system.symbol_table],
+        "symbol_table": system.symbol_table,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc) + "\n"
 
 
 def system_from_json(text: str) -> SimulatedSystem:
@@ -310,5 +318,13 @@ def save_system(system: SimulatedSystem, path: str | Path) -> None:
     Path(path).write_text(system_to_json(system), encoding="utf-8")
 
 
-def load_system(path: str | Path) -> SimulatedSystem:
-    return system_from_json(Path(path).read_text(encoding="utf-8"))
+def load_system(path: str | Path, data: bytes | None = None) -> SimulatedSystem:
+    """The system in the file at ``path``.
+
+    A caller that has read the file already, to hash it, passes its bytes
+    as ``data``: the system is then the one those bytes hold, and the file
+    is not read a second time.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    return system_from_json(data.decode("utf-8"))

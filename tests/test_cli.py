@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import argparse
+import builtins
 import csv
 import dataclasses
 import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import resource
@@ -133,6 +135,8 @@ class TestGen:
         manifest = json.loads((tmp_path / "sys.json.manifest.json").read_text())
         assert manifest["command"] == "gen"
         assert str(out) in manifest["outputs"]
+        assert set(manifest["timings_ms"]) == {"generate", "write"}
+        assert all(ms > 0 for ms in manifest["timings_ms"].values())
 
 
 class TestSolve:
@@ -1016,6 +1020,38 @@ class TestHardenInputs:
                 assert name in err.getvalue()
                 assert sorted(os.listdir(base)) == ["camp"]
         assert gc.isenabled()
+
+
+@pytest.mark.parametrize("command", ["inject", "harden"])
+def test_system_file_read_once(tmp_path, campaign_docs, capsys, monkeypatch, command):
+    # the manifest's digest and the system the command runs on come from
+    # one read, so a file replaced between two reads cannot split them
+    system, docs = campaign_docs
+    camp = tmp_path / "camp"
+    if command == "inject":
+        argv = ["inject", "--system", str(system), "--all", "--kmax", "2", "--out-dir", str(camp)]
+        manifest = camp / "summary.csv.manifest.json"
+    else:
+        write_campaign(camp, docs)
+        argv = harden_argv(system, camp, tmp_path / "plan.json")
+        manifest = tmp_path / "plan.json.manifest.json"
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(system):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # ``Path.open`` calls ``io.open``
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, err = run(argv, capsys)
+    monkeypatch.undo()
+    assert code == EXIT_OK, err
+    assert len(opened) == 1
+    digest = hashlib.sha256(system.read_bytes()).hexdigest()
+    assert json.loads(manifest.read_text())["inputs"][str(system)] == digest
 
 
 def strip_timings(doc):

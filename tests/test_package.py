@@ -1,4 +1,5 @@
-"""The package stays standard-library only and holds no unused definition."""
+"""The package stays standard-library only, holds no unused definition and
+writes no JSON through the pure-Python indenting encoder."""
 
 import ast
 import sys
@@ -48,3 +49,29 @@ def test_every_top_level_definition_is_referenced():
                 elif isinstance(node, ast.alias):
                     used.add(node.name)
     assert sorted(f"{defined[name]}: {name}" for name in defined.keys() - used) == []
+
+
+def indented_json_calls(tree):
+    """Calls of ``json.dump``, ``json.dumps`` or ``JSONEncoder`` with an ``indent``
+    other than None: CPython encodes those in pure Python."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in ("dump", "dumps", "JSONEncoder"):
+            continue
+        for kw in node.keywords:
+            if kw.arg == "indent" and not (isinstance(kw.value, ast.Constant) and kw.value.value is None):
+                yield node.lineno
+
+
+def test_no_module_writes_json_with_the_indenting_encoder():
+    # ``jsontext.dumps`` writes the same text with its per-item work in C
+    files = sorted(Path(minfault.__file__).parent.glob("*.py"))
+    assert len(files) >= 8
+    found = [f"{path.name}:{line}" for path in files
+             for line in indented_json_calls(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    # the check itself finds such a call
+    assert list(indented_json_calls(ast.parse("json.dumps(doc, indent=2, sort_keys=True)"))) == [1]
