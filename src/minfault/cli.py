@@ -279,6 +279,7 @@ class Manifest:
         _write_atomic(Path(str(primary_out) + ".manifest.json"), [_dump_json(doc)])
 
 
+@functools.cache  # one parser per process: building it costs about a quarter of a small ``gen``
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minfault", description=__doc__)
     parser.add_argument("--version", action="version", version=f"minfault {__version__}")
@@ -551,6 +552,9 @@ def cmd_harden(args) -> int:
     manifest.timings_ms["optimize"] = (time.perf_counter() - t0) * 1e3
 
     levels_doc = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["budget", "feasible", "exact", "selected", "covered", "cr", "mcg", "afvr", "run_id"])
     for lv in sweep.levels:
         entry = {"budget": lv.budget, "feasible": lv.feasible}
         if lv.feasible:
@@ -571,20 +575,6 @@ def cmd_harden(args) -> int:
                 "soft_total": lv.plan.soft_total,
                 "exact": lv.plan.exact,
             })
-        levels_doc.append(entry)
-    doc = {
-        "run_id": manifest.run_id,
-        "method": args.method,
-        "high_priority": sorted(high),
-        "levels": levels_doc,
-    }
-    manifest.add_output(args.out, _write_atomic(args.out, [_dump_json(doc)]))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["budget", "feasible", "exact", "selected", "covered", "cr", "mcg", "afvr", "run_id"])
-    for lv in sweep.levels:
-        if lv.feasible:
             writer.writerow([
                 lv.budget, 1, int(lv.plan.exact),
                 " ".join(str(v) for v in lv.plan.selected),
@@ -596,6 +586,14 @@ def cmd_harden(args) -> int:
             ])
         else:
             writer.writerow([lv.budget, 0, "", "", "", "", "", "", manifest.run_id])
+        levels_doc.append(entry)
+    doc = {
+        "run_id": manifest.run_id,
+        "method": args.method,
+        "high_priority": sorted(high),
+        "levels": levels_doc,
+    }
+    manifest.add_output(args.out, _write_atomic(args.out, [_dump_json(doc)]))
     csv_path = args.out.with_suffix(".csv") if args.out.suffix == ".json" else Path(str(args.out) + ".csv")
     manifest.add_output(csv_path, _write_atomic(csv_path, [buf.getvalue()]))
     manifest.write(args.out)
@@ -610,17 +608,14 @@ _HANDLERS = {"gen": cmd_gen, "solve": cmd_solve, "inject": cmd_inject, "harden":
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CnfParseError, SchemaError, UnknownRequestError, ParameterError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as exc:
+    except (CnfParseError, SchemaError, UnknownRequestError, ParameterError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MinfaultError as exc:

@@ -11,12 +11,15 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import CnfParseError, InvalidClauseError, VariableRangeError
 
 VarId = int
 
 Clause = frozenset  # frozenset[VarId]; non-empty, positive literals only
+
+_PATH_TYPES = {set, frozenset, tuple, list}
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class CnfStats:
     aco: float
 
 
-def _check_path(path: AbstractSet[int], n_vars: int, what: str = "clause") -> frozenset[int]:
+def _check_path(path: AbstractSet[int], n_vars: int) -> frozenset[int]:
     # checked before the set is built, in which True would merge into 1
     for v in path:
         if not isinstance(v, int) or isinstance(v, bool):
@@ -64,24 +67,37 @@ def _check_path(path: AbstractSet[int], n_vars: int, what: str = "clause") -> fr
             raise VariableRangeError(f"variable id {v} out of range for universe of {n_vars}")
     fs = frozenset(path)
     if not fs:
-        raise InvalidClauseError(f"empty {what} is not allowed")
+        raise InvalidClauseError("empty path is not allowed")
     return fs
+
+
+def _plain(paths: Sequence, n_vars: int) -> bool:
+    """True only when ``paths`` are non-empty sets, frozensets, tuples or lists
+    of plain ints in ``[0, n_vars)``, all of which :func:`_check_path` passes."""
+    # the ids' own types: in a set True would merge into 1
+    if not (set(map(type, paths)) <= _PATH_TYPES and all(paths)
+            and set(map(type, chain.from_iterable(paths))) <= {int}):
+        return False
+    ids = set(chain.from_iterable(paths))
+    return not ids or (min(ids) >= 0 and max(ids) < n_vars)
 
 
 def make_cnf(paths: Iterable[AbstractSet[int]], n_vars: int) -> MonotoneCnf:
     """Build a formula with one clause per path, dropping duplicate clauses.
 
     Clause order follows the first occurrence of each distinct var-set.
+    A list or tuple of paths that :func:`_plain` accepts is checked and
+    deduplicated in C; any other input goes through :func:`_check_path`
+    one path at a time, which raises on the first malformed path.
     """
     if n_vars < 0:
         raise VariableRangeError(f"n_vars must be non-negative, got {n_vars}")
-    seen: set[frozenset[int]] = set()
-    clauses: list[frozenset[int]] = []
-    for path in paths:
-        c = _check_path(path, n_vars, what="path")
-        if c not in seen:
-            seen.add(c)
-            clauses.append(c)
+    if type(paths) in (list, tuple) and _plain(paths, n_vars):
+        clauses = dict.fromkeys(map(frozenset, paths))
+    else:
+        clauses = {}
+        for path in paths:
+            clauses[_check_path(path, n_vars)] = None
     return MonotoneCnf(clauses=tuple(clauses), n_vars=n_vars)
 
 
@@ -96,7 +112,7 @@ def is_satisfied(cnf: MonotoneCnf, assignment: AbstractSet[int]) -> bool:
 
 def conjoin(cnf: MonotoneCnf, new_path: AbstractSet[int]) -> MonotoneCnf:
     """Append one path as a clause; a clause already present is a no-op."""
-    c = _check_path(new_path, cnf.n_vars, what="path")
+    c = _check_path(new_path, cnf.n_vars)
     if c in cnf.clauses:
         return cnf
     return MonotoneCnf(clauses=cnf.clauses + (c,), n_vars=cnf.n_vars)

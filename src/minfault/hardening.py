@@ -16,11 +16,14 @@ coverage (1999), and the plan is flagged approximate.
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
 set when clause instance i contains it.  Each request's masks are shifted
 into place by one merge, so a fault shared by two requests counts twice.
-A sweep builds a request's masks from its faults, fault i as bit i, and
-again over its distinct faults only when one is listed twice: coverage
-counts a repeated fault once, AFVR once per listing.  It runs one
-hard-cover search, at its largest budget; each level takes that search's
-covers of its size or less, which are exactly its own minimal covers.
+A sweep builds each request's formula, which checks its faults and holds
+a fault listed twice once, and its masks from the faults, fault i as bit
+i; a request with a repeated fault also gets masks over its formula's
+clauses, so coverage counts it once and AFVR once per listing.  Only the
+high requests' formulas are kept, for the hard-cover search that
+:func:`optimize` also runs.  The sweep runs it once, at its largest
+budget; each level takes that search's covers of its size or less, which
+are exactly its own minimal covers.
 The greedy is lazy (Minoux, 1978), with the same picks and ties as a
 full rescan at every pick.  Its picks do not depend on the budget, which
 only stops it sooner, so a sweep extends each cover greedily once, at its
@@ -36,7 +39,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from .cnf import MonotoneCnf, make_cnf
 from .errors import InfeasibleBudgetError, ParameterError
@@ -91,21 +93,6 @@ class BudgetSweep:
 def build_request_cnf(valid_faults: Sequence, n_vars: int) -> MonotoneCnf:
     """One clause per fault: hardening any one API of a fault mitigates it."""
     return make_cnf(valid_faults, n_vars)
-
-
-def _fault_masks(faults: Sequence, n_vars: int) -> dict[int, int]:
-    """``_cover_masks(faults)``, fault i as bit i.  Faults a quick, stricter test refuses go
-    through :func:`build_request_cnf`'s checks, which raise on a malformed one."""
-    try:
-        ok = set(map(type, chain.from_iterable(faults))) <= {int} and all(faults)
-    except TypeError:  # a fault that is not iterable
-        ok = False
-    if not ok:
-        build_request_cnf(faults, n_vars)
-    masks = _cover_masks(faults)
-    if min(masks) < 0 or max(masks) >= n_vars:
-        build_request_cnf(faults, n_vars)
-    return masks
 
 
 def _index(requests: Iterable[tuple[Mapping[int, int], int]]) -> tuple[dict[int, int], int]:
@@ -215,9 +202,14 @@ def _greedy_cover(masks: Mapping[int, int], uncovered: int, budget_left: int) ->
     return picks
 
 
-def _hard_covers(clauses, n_vars: int, budget: int) -> list[tuple[int, ...]]:
-    """Minimal covers of the distinct hard ``clauses`` within ``budget``, in lexicographic order."""
-    return enumerate_minimal(MonotoneCnf(tuple(clauses), n_vars), SolverConfig(max_size=budget))
+def _hard_covers(formulas: Iterable[MonotoneCnf], n_vars: int, budget: int) -> list[tuple[int, ...]]:
+    """Minimal covers within ``budget`` of the high requests' ``formulas``, in lexicographic order.
+
+    The formulas are joined by :func:`make_cnf` over ``n_vars``, which
+    checks every clause against it and keeps a clause two requests share once.
+    """
+    hard = make_cnf([c for cnf in formulas for c in cnf.clauses], n_vars)
+    return enumerate_minimal(hard, SolverConfig(max_size=budget))
 
 
 def _best_plan(hard, soft, covers, budgets: Sequence[int]) -> list[HardeningPlan | None]:
@@ -278,8 +270,7 @@ def optimize(instance: HardeningInstance) -> HardeningPlan:
     flagged via ``exact=False``.  This is the sweep's plan rule at the one
     budget ``[budget]``.
     """
-    hard = make_cnf([c for _, cnf in instance.hard for c in cnf.clauses], instance.n_vars)
-    covers = _hard_covers(hard.clauses, instance.n_vars, instance.budget)
+    covers = _hard_covers((cnf for _, cnf in instance.hard), instance.n_vars, instance.budget)
     [plan] = _best_plan(*_indexes(instance), covers, [instance.budget])
     if plan is None:
         raise InfeasibleBudgetError(f"hard clauses unsatisfiable within budget {instance.budget}")
@@ -304,9 +295,11 @@ def budget_sweep(
 ) -> BudgetSweep:
     """Evaluate selection plans across increasing budgets.
 
-    The exact method runs one hard-cover search, at the largest budget,
-    and one :func:`_best_plan` call over all the budgets, which hands each
-    level the covers that fit it; each level's plan follows
+    Each request's faults become its formula by :func:`build_request_cnf`,
+    so a malformed fault raises what that raises.  The exact method runs
+    one hard-cover search over the high requests' formulas, at the largest
+    budget, and one :func:`_best_plan` call over all the budgets, which
+    hands each level the covers that fit it; each level's plan follows
     :func:`optimize`'s rule.
 
     Coverage metrics come from the plans.  The residual-validity metric
@@ -335,21 +328,21 @@ def budget_sweep(
 
     active = {rid: faults for rid, faults in sorted(faults_by_request.items()) if faults}
     high = set(high_priority)
-    holders: dict[int, dict[int, int]] = {}  # request -> its faults' masks
+    holders: dict[int, dict[int, int]] = {}  # request -> its faults' masks, fault i as bit i
     sides: dict[bool, list] = {True: [], False: []}  # hard, soft: (clause masks, count)
-    hard_clauses: list[frozenset[int]] = []
+    hard: list[MonotoneCnf] = []
     # the hard side first: a malformed fault raises what the hard formulas raised
     for rid, faults in sorted(active.items(), key=lambda item: item[0] not in high):
-        holders[rid] = _fault_masks(faults, system.n_vars)
-        clauses = dict.fromkeys(map(frozenset, faults))  # a fault listed twice is one clause
-        masks = holders[rid] if len(clauses) == len(faults) else _cover_masks(clauses)
-        sides[rid in high].append((masks, len(clauses)))
+        cnf = build_request_cnf(faults, system.n_vars)  # a fault listed twice is one clause
+        holders[rid] = _cover_masks(faults)
+        masks = holders[rid] if cnf.m == len(faults) else _cover_masks(cnf.clauses)
+        sides[rid in high].append((masks, cnf.m))
         if rid in high:
-            hard_clauses += clauses
+            hard.append(cnf)
     hard_index, soft_index = _index(sides[True]), _index(sides[False])
     if method == "exact":
         # the minimal covers within each budget are this search's covers of that size or less
-        covers = _hard_covers(dict.fromkeys(hard_clauses), system.n_vars, budgets[-1])
+        covers = _hard_covers(hard, system.n_vars, budgets[-1])
         plans = _best_plan(hard_index, soft_index, covers, budgets)
     else:
         plans = [plan if plan.feasible else None

@@ -15,7 +15,7 @@ from minfault.campaign import (
 from minfault.cnf import conjoin, is_satisfied, make_cnf
 from minfault.errors import MinfaultError, ParameterError, UnknownRequestError
 from minfault.simulation import GenParams, execute, generate_system, ground_truth_paths
-from minfault.solver import brute_force_minimal
+from minfault.solver import SolverConfig, brute_force_minimal, enumerate_minimal
 from test_simulation import tiny_system
 
 
@@ -295,6 +295,30 @@ class TestArbitraryPathStructures:
             res = run_campaign(system, CampaignConfig(request_id=req.request_id, k_max=4))
             want = oracle_minimal_faults(system, req.request_id, 4)
             assert sorted(res.valid_faults) == want
+
+
+class TestFinalFormula:
+    """A campaign's answer is the bounded transversal set of the formula it learned.
+
+    The last pool ran on the final formula at the final bound and left no
+    survivor, so every minimal set of at most that many variables is valid;
+    a valid fault stays minimal, since formulas only gain clauses.
+    """
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_valid_faults_are_the_minimal_sets_of_the_final_formula(self, share):
+        checked = 0
+        for seed, (g, e, b) in itertools.product(range(4), [(1, 6, 1), (2, 7, 2), (3, 4, 1)]):
+            system = generate_system(GenParams(group_num=g, edge_num=e, bone_num=b, n_requests=3,
+                                               shared_api_fraction=share, seed=seed))
+            for req, k in itertools.product(system.requests, range(1, 5)):
+                rid = req.request_id
+                for res in (run_campaign(system, CampaignConfig(request_id=rid, k_max=k)),
+                            run_campaign_static(system, rid, k)):
+                    want = enumerate_minimal(res.final_cnf, SolverConfig(res.final_k))
+                    assert sorted(res.valid_faults) == want, (share, seed, g, e, b, rid, k)
+                    checked += 1
+        assert checked == 4 * 3 * 3 * 4 * 2
 
 
 class TestTimings:

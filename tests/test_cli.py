@@ -139,6 +139,21 @@ class TestGen:
         assert all(ms > 0 for ms in manifest["timings_ms"].values())
 
 
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    # a usage error must leave the one parser as it found it for the next call
+    gen = ["gen", "--groups", "2", "--edges", "9", "--bones", "2", "--requests", "2", "--seed", "3"]
+    main([*gen, "--out", str(tmp_path / "warm.json")])
+    monkeypatch.setattr(cli, "_Parser", None)  # building a second parser would raise
+    bad = ["gen", "--groups", "x", *gen[3:], "--out", str(tmp_path / "bad.json")]
+    code, _, err = run(bad, capsys)
+    assert (code, err) == (EXIT_USAGE, "usage error: argument --groups: not a decimal integer: 'x'\n")
+    code, _, err = run([*gen, "--out", str(tmp_path / "sys.json")], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    params = GenParams(group_num=2, edge_num=9, bone_num=2, n_requests=2, seed=3)
+    assert (tmp_path / "sys.json").read_bytes() == system_to_json(generate_system(params)).encode()
+    assert not (tmp_path / "bad.json").exists()
+
+
 class TestSolve:
     def test_worked_example_lines(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

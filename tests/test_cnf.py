@@ -4,10 +4,11 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cnfs_with_assignment, monotone_cnfs
+import minfault.cnf
 from minfault.cnf import (
     CnfStats,
     compute_stats,
@@ -92,6 +93,117 @@ class TestMakeCnf:
         # a set would merge True into 1
         with pytest.raises(VariableRangeError, match="True is not an integer"):
             make_cnf([(1, True)], 5)
+
+
+def reference_make_cnf(paths, n_vars):
+    """``make_cnf`` checking one id at a time, as it did before its check ran in C."""
+    if n_vars < 0:
+        raise VariableRangeError(f"n_vars must be non-negative, got {n_vars}")
+    seen = set()
+    clauses = []
+    for path in paths:
+        for v in path:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise VariableRangeError(f"variable id {v!r} is not an integer")
+            if v < 0:
+                raise VariableRangeError(f"negative variable id {v}")
+            if v >= n_vars:
+                raise VariableRangeError(f"variable id {v} out of range for universe of {n_vars}")
+        c = frozenset(path)
+        if not c:
+            raise InvalidClauseError("empty path is not allowed")
+        if c not in seen:
+            seen.add(c)
+            clauses.append(c)
+    return tuple(clauses)
+
+
+class Sub(int):
+    """An ``int`` subclass: the per-id check accepts it, and the check in C leaves it to that one."""
+
+
+def build_path(kind, ids):
+    if kind == "iter":
+        return iter(ids)
+    if kind == "str":
+        return "".join(map(str, ids))
+    if kind == "none":  # not iterable
+        return None
+    return {"set": set, "frozenset": frozenset, "tuple": tuple, "list": list}[kind](ids)
+
+
+def build_paths(outer, recipes):
+    """Fresh paths from ``recipes``: iterators are spent by one call."""
+    paths = (build_path(kind, ids) for kind, ids in recipes)
+    return paths if outer == "generator" else {"list": list, "tuple": tuple}[outer](paths)
+
+
+def outcome(fn, outer, recipes, n_vars):
+    try:
+        return fn(build_paths(outer, recipes), n_vars)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ODD_IDS = st.sampled_from([-1, -2, True, False, Sub(0), Sub(2), 1.0, "1", 10 ** 30])
+PLAIN_KINDS = ["set", "frozenset", "tuple", "list"]
+
+
+@st.composite
+def path_recipes(draw):
+    """(outer iterable, (kind, ids) per path, n_vars); one path in three may
+    be of an odd kind or hold odd ids, so both routes of the check run."""
+    n_vars = draw(st.integers(0, 6))
+    recipes = []
+    for _ in range(draw(st.integers(0, 6))):
+        odd = draw(st.integers(0, 2)) == 0
+        kinds = PLAIN_KINDS + ["iter", "str", "none"] if odd else PLAIN_KINDS
+        ids = st.integers(-1, n_vars) | ODD_IDS if odd else st.integers(0, max(n_vars - 1, 0))
+        recipes.append((draw(st.sampled_from(kinds)), draw(st.lists(ids, min_size=int(not odd), max_size=4))))
+    if recipes:  # repeat some paths, their ids reordered
+        for kind, ids in draw(st.lists(st.sampled_from(recipes), max_size=3)):
+            recipes.append((kind, draw(st.permutations(ids))))
+    return draw(st.sampled_from(["list", "tuple", "generator"])), recipes, n_vars
+
+
+class TestMakeCnfOracle:
+    """``make_cnf`` against the per-id loop: the same clauses in the same
+    order, or the same exception type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(path_recipes())
+    @example(("list", [("set", [1, True])], 3))
+    @example(("list", [("set", [True, 1])], 3))
+    @example(("list", [("tuple", [1, True])], 3))
+    @example(("list", [("tuple", [2, Sub(1)])], 3))
+    @example(("list", [("tuple", [0]), ("tuple", [-1])], 3))
+    @example(("tuple", [("tuple", [0]), ("list", [3])], 3))
+    @example(("list", [("tuple", [0]), ("set", [])], 3))
+    @example(("list", [("tuple", [1, 1, 0]), ("set", [0, 1]), ("list", [1, 0])], 2))
+    @example(("list", [("iter", [1, 2])], 3))
+    @example(("list", [("iter", [1, 2]), ("tuple", [2])], 3))
+    @example(("list", [("none", [])], 3))
+    @example(("generator", [("tuple", [2, 0]), ("tuple", [0, 2])], 3))
+    @example(("list", [], 0))
+    @example(("list", [("tuple", [0])], -1))
+    def test_matches_per_id_loop(self, case):
+        outer, recipes, n_vars = case
+        want = outcome(reference_make_cnf, outer, recipes, n_vars)
+        got = outcome(make_cnf, outer, recipes, n_vars)
+        if isinstance(got, minfault.cnf.MonotoneCnf):
+            assert got.n_vars == n_vars
+            got = got.clauses
+        assert got == want
+
+    def test_plain_lists_skip_the_per_id_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-id check ran")
+
+        monkeypatch.setattr(minfault.cnf, "_check_path", refuse)
+        paths = [(2, 0), [1], {3, 0}, frozenset({0, 2}), (0, 2, 2)]
+        assert make_cnf(paths, 4).clauses == reference_make_cnf(paths, 4)
+        assert make_cnf(tuple(paths), 4).clauses == reference_make_cnf(paths, 4)
+        assert make_cnf([], 0).clauses == ()
 
 
 class TestIsSatisfied:

@@ -482,6 +482,19 @@ class TestBudgetSweep:
             with pytest.raises(error):
                 budget_sweep(system, faults, high, [1, 4], method=method)
 
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    @pytest.mark.parametrize("high", [[0], []], ids=["high", "soft"])
+    def test_iterator_fault_raises_as_make_cnf_does(self, method, high):
+        # a one-shot iterator is spent by the check, so it would reach the
+        # masks empty: as the only fault, or as an uncoverable soft clause
+        system, _, _ = _sweep_inputs()
+        for make in (lambda: [iter((1, 2))], lambda: [iter((1, 2)), (3,)]):
+            with pytest.raises(InvalidClauseError) as want:
+                build_request_cnf(make(), system.n_vars)
+            with pytest.raises(InvalidClauseError) as got:
+                budget_sweep(system, {0: make()}, high, [1, 4], method=method)
+            assert str(got.value) == str(want.value)
+
     def test_unknown_high_priority_id(self):
         system, faults, _ = _sweep_inputs()
         with pytest.raises(UnknownRequestError):
