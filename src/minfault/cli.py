@@ -27,13 +27,13 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 from .campaign import CampaignConfig, CampaignResult, run_campaign, run_campaign_static
-from .cnf import _decimal as _cnf_decimal, parse_cnf
+from .cnf import _decimal as _cnf_decimal, _plain, make_cnf, parse_cnf
 from .errors import (
     CnfParseError,
     MinfaultError,
@@ -482,6 +482,15 @@ def _parse_high(spec: str, system) -> list[int]:
 
 
 def cmd_harden(args) -> int:
+    """Sweep ``--budgets`` over the faults in ``--campaign-dir``'s campaign files.
+
+    Each file is checked as it is read, and a bad one is a ``SchemaError``
+    that names it: its JSON shape, its ``request_id``'s type, its faults
+    by :func:`make_cnf`'s rule (with that rule's message), its request
+    id against the system, and that no earlier file holds the same
+    request.  The ``--high`` ids are looked up by :func:`budget_sweep`,
+    after ``--budgets`` is checked.
+    """
     data = args.system.read_bytes()
     system = load_system(args.system, data)
     manifest = Manifest(
@@ -510,17 +519,19 @@ def cmd_harden(args) -> int:
             rid = doc["request_id"]
             faults = [tuple(entry["vars"]) for entry in doc["valid_faults"]]
             del doc
+            # the sweep's formulas hold the faults to ``cnf``'s rule; it
+            # runs here so that a bad fault names its file, and before the
+            # sort below, which mixed types would break
+            if not _plain(faults, system.n_vars):
+                make_cnf(faults, system.n_vars)  # raises the first bad fault's error
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise SchemaError(f"{f}: malformed campaign result ({exc})") from None
         finally:
             if collecting:
                 gc.enable()
         # ``type(x) is int`` also refuses JSON's true and false
-        if type(rid) is not int or set(map(type, chain.from_iterable(faults))) - {int}:
-            raise SchemaError(f"{f}: request_id and fault variables must be integers")
-        variables = set(chain.from_iterable(faults))
-        if not all(faults) or variables and (min(variables) < 0 or max(variables) >= system.n_vars):
-            raise SchemaError(f"{f}: a fault is empty or holds a variable outside [0, {system.n_vars})")
+        if type(rid) is not int:
+            raise SchemaError(f"{f}: request_id must be an integer")
         try:
             system.request(rid)
         except UnknownRequestError:
@@ -537,8 +548,6 @@ def cmd_harden(args) -> int:
     manifest.timings_ms["read"] = (time.perf_counter() - t0) * 1e3
 
     high = _parse_high(args.high, system)
-    for rid in high:
-        system.request(rid)
     try:
         budgets = [_decimal(tok) for tok in args.budgets.split(",") if tok != ""]
     except argparse.ArgumentTypeError:

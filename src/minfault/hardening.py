@@ -288,15 +288,19 @@ def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
 
 def budget_sweep(
     system: SimulatedSystem,
-    faults_by_request: Mapping[int, Sequence],
+    faults_by_request: Mapping[int, Iterable],
     high_priority: Collection[int],
     budgets: Sequence[int],
     method: str = "exact",
 ) -> BudgetSweep:
     """Evaluate selection plans across increasing budgets.
 
-    Each request's faults become its formula by :func:`build_request_cnf`,
-    so a malformed fault raises what that raises.  The exact method runs
+    The method and the budgets are checked first (``ParameterError``),
+    then every id in ``high_priority`` and ``faults_by_request`` is looked
+    up in the system (``UnknownRequestError``).  Each request's faults may
+    be any iterable, which is read once; in request id order, each list
+    becomes the request's formula by :func:`build_request_cnf`, so the
+    first malformed fault raises what that raises.  The exact method runs
     one hard-cover search over the high requests' formulas, at the largest
     budget, and one :func:`_best_plan` call over all the budgets, which
     hands each level the covers that fit it; each level's plan follows
@@ -326,13 +330,14 @@ def budget_sweep(
     for rid in [*high_priority, *faults_by_request]:
         system.request(rid)  # raises UnknownRequestError
 
-    active = {rid: faults for rid, faults in sorted(faults_by_request.items()) if faults}
+    # read once: a fault list may be a one-shot iterable
+    active = {rid: faults for rid in sorted(faults_by_request)
+              if (faults := list(faults_by_request[rid]))}
     high = set(high_priority)
     holders: dict[int, dict[int, int]] = {}  # request -> its faults' masks, fault i as bit i
     sides: dict[bool, list] = {True: [], False: []}  # hard, soft: (clause masks, count)
     hard: list[MonotoneCnf] = []
-    # the hard side first: a malformed fault raises what the hard formulas raised
-    for rid, faults in sorted(active.items(), key=lambda item: item[0] not in high):
+    for rid, faults in active.items():
         cnf = build_request_cnf(faults, system.n_vars)  # a fault listed twice is one clause
         holders[rid] = _cover_masks(faults)
         masks = holders[rid] if cnf.m == len(faults) else _cover_masks(cnf.clauses)

@@ -77,7 +77,9 @@ class SolverCounters:
 
     Every leaf is a distinct minimal solution, so ``leaf_hits`` equals the
     solution count and ``duplicate_leaves`` and ``nonminimal_leaves`` are
-    always 0; they are kept so readers of the counters need not change.
+    always 0; they are kept for their one reader, the benchmark tracer
+    (``_COUNTERS`` in ``perfbench/tracing.py``), which reads every counter
+    by name.
     """
 
     expansions: int = 0
@@ -161,14 +163,16 @@ def _search(
 ) -> Iterator[FaultSet]:
     """:func:`iter_minimal`'s search over :func:`_twin_classes`' tables, with no setup of its own.
 
-    ``cover[v]`` is variable ``v``'s mask over clause indices, ``members[j]``
-    clause ``j``'s variables as a mask over ids (a node branches on its
-    unbanned bits, lowest first), and ``apart[j]`` the mask of the clauses
-    sharing no variable with clause ``j``.  With no clauses the root is the
-    one leaf, ``()``.  Yields ascending tuples of variables and leaves
-    ``counters.leaf_hits`` to the caller.
+    The search runs over twin classes, not variables: ``cover[c]`` is
+    class ``c``'s mask over clause indices, ``members[j]`` clause ``j``'s
+    classes as a mask over class indices (a node branches on its unbanned
+    bits, lowest first), and ``apart[j]`` the mask of the clauses sharing
+    no class with clause ``j``.  With no clauses the root is the one leaf,
+    ``()``.  Yields ascending tuples of class indices, which the caller
+    expands into variables, and leaves ``counters.leaf_hits`` to the
+    caller.
     """
-    # (uncovered clauses, banned variables' mask, chosen variables, their crit masks)
+    # (uncovered clauses, banned classes' mask, chosen classes, their crit masks)
     stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [((1 << len(members)) - 1, 0, (), ())]
     while stack:
         u, banned, chosen, crit = stack.pop()
@@ -178,8 +182,8 @@ def _search(
         left = maxd - len(chosen)
         if left == 1:
             counters.expansions += 1
-            # the leaves are the unbanned variables in every uncovered
-            # clause that leave each chosen variable a crit clause; lowest
+            # the leaves are the unbanned classes in every uncovered
+            # clause that leave each chosen class a crit clause; lowest
             # first, the order in which pushed children would pop
             common = ~banned
             rest = u
@@ -216,11 +220,11 @@ def _search(
             nu = u & rest
             child_crit = [c & rest for c in crit]
             if not all(child_crit):
-                continue  # v covers every crit clause of some chosen variable
+                continue  # v covers every crit clause of some chosen class
             child_crit.append(u & cmask)
             child_banned = banned | (members[i] & (vbit - 1))
             children.append((nu, child_banned, chosen + (v,), tuple(child_crit)))
-        # pushed in reverse so the lowest variable is popped first
+        # pushed in reverse so the lowest class is popped first
         stack.extend(reversed(children))
         counters.pushes += len(children)
 

@@ -897,18 +897,22 @@ class TestHardenInputs:
         write_campaign(tmp_path / "camp", docs)
         code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
         assert code == EXIT_INPUT
-        assert "request_1.json: request_id and fault variables must be integers" in err
+        assert "request_1.json: request_id must be an integer" in err
+        assert sorted(os.listdir(tmp_path)) == ["camp"]
 
-    @pytest.mark.parametrize("fault", [[[1], 2], [True], [1, "2"], [1.0]],
-                             ids=["list", "true", "string", "float"])
-    def test_fault_variable_not_an_integer(self, tmp_path, campaign_docs, capsys, fault):
+    @pytest.mark.parametrize("fault, message", [
+        ([[1], 2], "variable id [1] is not an integer"), ([True], "variable id True is not an integer"),
+        ([1, "2"], "variable id '2' is not an integer"), ([1.0], "variable id 1.0 is not an integer"),
+    ], ids=["list", "true", "string", "float"])
+    def test_fault_variable_not_an_integer(self, tmp_path, campaign_docs, capsys, fault, message):
         system, docs = campaign_docs
         doc = json.loads(json.dumps(docs["request_2.json"]))
         doc["valid_faults"][-1]["vars"] = fault
         write_campaign(tmp_path / "camp", dict(docs, **{"request_2.json": doc}))
         code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
         assert code == EXIT_INPUT
-        assert "request_2.json: request_id and fault variables must be integers" in err
+        assert f"request_2.json: malformed campaign result ({message})" in err
+        assert sorted(os.listdir(tmp_path)) == ["camp"]
 
     @pytest.mark.parametrize("fault", ["empty", "negative", "n_vars"])
     def test_fault_outside_universe(self, tmp_path, campaign_docs, capsys, fault):
@@ -919,7 +923,9 @@ class TestHardenInputs:
         write_campaign(tmp_path / "camp", dict(docs, **{"request_2.json": doc}))
         code, _, err = run(harden_argv(system, tmp_path / "camp", tmp_path / "p.json"), capsys)
         assert code == EXIT_INPUT
-        assert f"request_2.json: a fault is empty or holds a variable outside [0, {n_vars})" in err
+        message = {"empty": "empty path is not allowed", "negative": "negative variable id -1",
+                   "n_vars": f"variable id {n_vars} out of range for universe of {n_vars}"}[fault]
+        assert f"request_2.json: malformed campaign result ({message})" in err
         assert sorted(os.listdir(tmp_path)) == ["camp"]
 
     def test_duplicate_request_id(self, tmp_path, campaign_docs, capsys):
@@ -1036,6 +1042,35 @@ class TestHardenInputs:
                 assert sorted(os.listdir(base)) == ["camp"]
         assert gc.isenabled()
 
+
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_faults_refused_as_make_cnf_refuses_them(self, campaign_docs, data):
+        # one fault's vars are replaced; the file is an input error exactly
+        # when ``make_cnf`` refuses its decoded fault list
+        system, docs = campaign_docs
+        n_vars = load_system(system).n_vars
+        docs = json.loads(json.dumps(docs))
+        name = data.draw(st.sampled_from(sorted(docs)))
+        faults = docs[name]["valid_faults"]
+        fault = faults[data.draw(st.integers(min_value=0, max_value=len(faults) - 1))]
+        fault["vars"] = data.draw(json_values | st.lists(st.integers(min_value=-1, max_value=n_vars),
+                                                         max_size=3))
+        try:
+            make_cnf([entry["vars"] for entry in faults], n_vars)
+            refused = False
+        except (ValueError, TypeError):
+            refused = True
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            write_campaign(base / "camp", docs)
+            err = StringIO()
+            with redirect_stderr(err):
+                code = main(harden_argv(system, base / "camp", base / "p.json"))
+            assert (code == EXIT_INPUT) == refused, err.getvalue()
+            if refused:
+                assert f"{name}: malformed campaign result (" in err.getvalue()
+                assert sorted(os.listdir(base)) == ["camp"]
 
 @pytest.mark.parametrize("command", ["inject", "harden"])
 def test_system_file_read_once(tmp_path, campaign_docs, capsys, monkeypatch, command):

@@ -495,6 +495,19 @@ class TestBudgetSweep:
                 budget_sweep(system, {0: make()}, high, [1, 4], method=method)
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    @pytest.mark.parametrize("high", [[0], [1]], ids=["high", "soft"])
+    @pytest.mark.parametrize("one_shot", [
+        lambda faults: (f for f in faults), lambda faults: iter(list(faults)), lambda faults: iter(()),
+    ], ids=["generator", "list-iterator", "empty-iterator"])
+    def test_one_shot_fault_list_read_once(self, one_shot, high, method):
+        # request 0's faults as a one-shot iterable give the sweep of their list
+        system, faults, _ = _sweep_inputs()
+        budgets = [1, 4, system.n_vars]
+        want = budget_sweep(system, {**faults, 0: list(one_shot(faults[0]))}, high, budgets, method=method)
+        assert any(lv.feasible for lv in want.levels)
+        assert budget_sweep(system, {**faults, 0: one_shot(faults[0])}, high, budgets, method=method) == want
+
     def test_unknown_high_priority_id(self):
         system, faults, _ = _sweep_inputs()
         with pytest.raises(UnknownRequestError):

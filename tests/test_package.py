@@ -1,11 +1,17 @@
-"""The package stays standard-library only, holds no unused definition and
-writes no JSON through the pure-Python indenting encoder."""
+"""The package stays standard-library only, holds no unused definition,
+writes no JSON through the pure-Python indenting encoder and keeps every
+name the benchmark's tracer patches."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import minfault
+import minfault.campaign
+import minfault.cli
+import minfault.hardening
+import minfault.solver
 
 
 def test_modules_import_only_the_standard_library_and_the_package():
@@ -75,3 +81,28 @@ def test_no_module_writes_json_with_the_indenting_encoder():
     assert found == []
     # the check itself finds such a call
     assert list(indented_json_calls(ast.parse("json.dumps(doc, indent=2, sort_keys=True)"))) == [1]
+
+
+def test_tracer_patches_names_that_exist_and_restores_them():
+    # ``perfbench/tracing.py`` wraps package functions by module and name, so
+    # a deleted or renamed one must fail here, not only in the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = (minfault.campaign, minfault.cli, minfault.hardening, minfault.solver)
+    before = {module: dict(vars(module)) for module in modules}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+        for module, attr, original in patched:
+            assert module in before and before[module].get(attr) is original, (module.__name__, attr)
+            assert getattr(module, attr) is not original
+    finally:
+        tracer.uninstall()
+    assert len(patched) >= 10
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original, (module.__name__, attr)
+    for module, attrs in before.items():
+        assert vars(module) == attrs
