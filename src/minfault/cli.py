@@ -34,13 +34,7 @@ from pathlib import Path
 from . import __version__
 from .campaign import CampaignConfig, CampaignResult, run_campaign, run_campaign_static
 from .cnf import _decimal as _cnf_decimal, _plain, make_cnf, parse_cnf
-from .errors import (
-    CnfParseError,
-    MinfaultError,
-    ParameterError,
-    SchemaError,
-    UnknownRequestError,
-)
+from .errors import MinfaultError, ParameterError, SchemaError, UnknownRequestError
 from .hardening import budget_sweep
 from .jsontext import dumps
 from .simulation import GenParams, generate_system, load_system, system_to_json
@@ -623,12 +617,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CnfParseError, SchemaError, UnknownRequestError, ParameterError,
-            OSError, UnicodeDecodeError) as exc:
+    except (MinfaultError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MinfaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
         print("out of memory", file=sys.stderr)

@@ -203,7 +203,8 @@ def parse_cnf(text: str) -> MonotoneCnf:
                 declared_m = _decimal(parts[3])
             except ValueError:
                 raise CnfParseError(idx, f"non-integer counts in header {line!r}") from None
-            if n_vars < 0 or declared_m < 0:
+            # by sign, not by value: ``_decimal`` reads ``-0`` as 0
+            if parts[2].startswith("-") or parts[3].startswith("-"):
                 raise CnfParseError(idx, "header counts must be non-negative")
             header_seen = True
             continue
@@ -216,14 +217,14 @@ def parse_cnf(text: str) -> MonotoneCnf:
                 lit = _decimal(tok)
             except ValueError:
                 raise CnfParseError(idx, f"non-integer literal {tok!r}") from None
+            if tok.startswith("-"):  # ``-0`` too, which would read as the terminator
+                raise CnfParseError(idx, f"negative literal {tok}")
             lits.append(lit)
         if lits[-1] != 0:
             raise CnfParseError(idx, "missing clause terminator 0")
         body = lits[:-1]
         if any(l == 0 for l in body):
             raise CnfParseError(idx, "literal 0 inside clause body")
-        if any(l < 0 for l in body):
-            raise CnfParseError(idx, f"negative literal {min(body)}")
         if not body:
             raise CnfParseError(idx, "empty clause")
         if any(l > n_vars for l in body):

@@ -16,10 +16,10 @@ coverage (1999), and the plan is flagged approximate.
 Clauses are held as per-variable bitmasks: bit i of a variable's mask is
 set when clause instance i contains it.  Each request's masks are shifted
 into place by one merge, so a fault shared by two requests counts twice.
-A sweep builds each request's formula, which checks its faults and holds
-a fault listed twice once, and its masks from the faults, fault i as bit
-i; a request with a repeated fault also gets masks over its formula's
-clauses, so coverage counts it once and AFVR once per listing.  Only the
+Within a request, faults follow :func:`make_cnf`'s one rule: a fault
+listed twice, in either order, is one clause.  A sweep builds each
+request's formula, which checks its faults, and one record of masks over
+its clauses, which coverage and AFVR both read.  Only the
 high requests' formulas are kept, for the hard-cover search that
 :func:`optimize` also runs.  The sweep runs it once, at its largest
 budget; each level takes that search's covers of its size or less, which
@@ -312,8 +312,9 @@ def budget_sweep(
     rule without injecting: a fault still fails when every path of the
     request holds one of its non-immune variables.  The rule needs no
     property of the faults: they may be non-minimal, non-failing or
-    repeated, and a repeated fault counts once for coverage but once per
-    listing for AFVR.  Requests with no known faults contribute neither
+    repeated.  A fault a request lists twice, in either order, counts
+    once for coverage and for AFVR, whose share is over the request's
+    distinct faults.  Requests with no known faults contribute neither
     clauses nor an averaging term, but their ids must still name requests
     of the system.  Marginal gain is undefined at the first level and is
     taken against the last feasible level when an infeasible one sits in
@@ -330,21 +331,18 @@ def budget_sweep(
     for rid in [*high_priority, *faults_by_request]:
         system.request(rid)  # raises UnknownRequestError
 
-    # read once: a fault list may be a one-shot iterable
-    active = {rid: faults for rid in sorted(faults_by_request)
-              if (faults := list(faults_by_request[rid]))}
     high = set(high_priority)
-    holders: dict[int, dict[int, int]] = {}  # request -> its faults' masks, fault i as bit i
-    sides: dict[bool, list] = {True: [], False: []}  # hard, soft: (clause masks, count)
+    records: dict[int, tuple[dict[int, int], int]] = {}  # request -> (clause masks, clause count)
     hard: list[MonotoneCnf] = []
-    for rid, faults in active.items():
-        cnf = build_request_cnf(faults, system.n_vars)  # a fault listed twice is one clause
-        holders[rid] = _cover_masks(faults)
-        masks = holders[rid] if cnf.m == len(faults) else _cover_masks(cnf.clauses)
-        sides[rid in high].append((masks, cnf.m))
-        if rid in high:
-            hard.append(cnf)
-    hard_index, soft_index = _index(sides[True]), _index(sides[False])
+    for rid in sorted(faults_by_request):
+        # a list, so that any iterable, one-shot ones too, takes make_cnf's C path
+        cnf = build_request_cnf(list(faults_by_request[rid]), system.n_vars)
+        if cnf.m:
+            records[rid] = (_cover_masks(cnf.clauses), cnf.m)
+            if rid in high:
+                hard.append(cnf)
+    hard_index = _index(rec for rid, rec in records.items() if rid in high)
+    soft_index = _index(rec for rid, rec in records.items() if rid not in high)
     if method == "exact":
         # the minimal covers within each budget are this search's covers of that size or less
         covers = _hard_covers(hard, system.n_vars, budgets[-1])
@@ -365,16 +363,16 @@ def budget_sweep(
         # summed left to right: ``sum`` of floats is compensated from Python
         # 3.12 on, and the plan must not depend on the interpreter
         total = 0.0
-        for rid, faults in active.items():
-            still = (1 << len(faults)) - 1
+        for rid, (masks, m) in records.items():
+            still = (1 << m) - 1
             for path in system.request(rid).paths:
                 broken = 0  # faults with a non-immune variable on this path
                 for v in path:
                     if v not in immune:
-                        broken |= holders[rid].get(v, 0)
+                        broken |= masks.get(v, 0)
                 still &= broken
-            total += still.bit_count() / len(faults)
-        afvr = total / len(active) if active else 0.0
+            total += still.bit_count() / m
+        afvr = total / len(records) if records else 0.0
         levels.append(SweepLevel(budget=b, plan=plan, cr=plan.cr, mcg=mcg, afvr=afvr, feasible=True))
         prev = (b, plan.soft_covered)
     return BudgetSweep(levels=tuple(levels))

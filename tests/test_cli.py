@@ -138,6 +138,21 @@ class TestGen:
         assert set(manifest["timings_ms"]) == {"generate", "write"}
         assert all(ms > 0 for ms in manifest["timings_ms"].values())
 
+    def test_any_package_error_is_input_error(self, tmp_path, capsys, monkeypatch):
+        class Unlisted(MinfaultError):
+            pass
+
+        def failing(args):
+            raise Unlisted("no such thing")
+
+        monkeypatch.setitem(cli._HANDLERS, "gen", failing)
+        code, out, err = run(
+            ["gen", "--groups", "2", "--edges", "9", "--bones", "2",
+             "--requests", "1", "--out", str(tmp_path / "x.json")],
+            capsys,
+        )
+        assert (code, out, err) == (EXIT_INPUT, "", "input error: no such thing\n")
+
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
     # a usage error must leave the one parser as it found it for the next call
@@ -178,10 +193,12 @@ class TestSolve:
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
-        cnf.write_text("p mcnf 4 1\n1 -2 0\n")
-        code, _, err = run(["solve", "--cnf", str(cnf), "--k", "1"], capsys)
-        assert code == EXIT_INPUT
-        assert "negative literal" in err
+        for clause in ("1 -2 0", "1 2 -0"):  # ``-0`` would read as the terminator
+            cnf.write_text(f"p mcnf 4 1\n{clause}\n")
+            code, out, err = run(["solve", "--cnf", str(cnf), "--k", "1"], capsys)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "negative literal" in err
 
     def test_literal_not_ascii_decimal_exit_code(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"

@@ -319,8 +319,10 @@ class TestFileFormat:
         assert cnf.m == 1
 
     def test_negative_literal_rejected(self):
-        with pytest.raises(CnfParseError, match="line 2.*negative literal"):
-            parse_cnf("p mcnf 4 1\n1 -3 0\n")
+        # ``-0`` too: read as 0, it would end the clause or sit inside it
+        for clause in ("1 -3 0", "1 2 -0", "-0", "1 -0 2 0"):
+            with pytest.raises(CnfParseError, match="line 2: negative literal -[03]$"):
+                parse_cnf(f"p mcnf 4 1\n{clause}\n")
 
     @pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "2\u0663", "\u00b3", "--3", "-"])
     def test_literal_not_ascii_decimal_rejected(self, token):
@@ -350,8 +352,10 @@ class TestFileFormat:
             parse_cnf(text)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(CnfParseError, match="line 1: header counts must be non-negative"):
-            parse_cnf("p mcnf -1 0\n")
+        # ``-0`` too, which would read as an empty formula
+        for header in ("p mcnf -1 0", "p mcnf -0 -0", "p mcnf 3 -0", "p mcnf -0 0"):
+            with pytest.raises(CnfParseError, match="line 1: header counts must be non-negative"):
+                parse_cnf(header + "\n")
 
     def test_zero_inside_clause_rejected(self):
         with pytest.raises(CnfParseError, match="line 2: literal 0 inside clause body"):

@@ -525,12 +525,12 @@ class TestBudgetSweep:
 
 
 def reinjected_afvr(system, faults_by_request, selected):
-    """Oracle: re-inject every known fault without its variables in ``selected``."""
+    """Oracle: re-inject every distinct known fault without its variables in ``selected``."""
     immune = frozenset(selected)
     fractions = [
-        sum(1 for f in faults if execute(system, rid, set(f) - immune).failed) / len(faults)
-        for rid, faults in sorted(faults_by_request.items())
-        if faults
+        sum(1 for f in faults if execute(system, rid, f - immune).failed) / len(faults)
+        for rid, listed in sorted(faults_by_request.items())
+        if (faults := set(map(frozenset, listed)))  # a fault listed twice is one fault
     ]
     total = 0.0  # left to right, as ``budget_sweep`` sums: ``sum`` rounds differently on 3.12+
     for fraction in fractions:
@@ -589,6 +589,22 @@ class TestAfvrOracle:
         assert 0 < len(fails) < sum(map(len, faults.values()))
         assert any(execute(system, rid, set(f[1:])).failed for rid, f in fails)  # non-minimal
         assert_afvr_matches_reinjection(system, faults, [1], [2, 4, 6, 9, 14, 20])
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_repeated_fault_counts_once(self, method):
+        # faults that still fail at a level, listed a second time and one of
+        # them reversed, leave every level as the deduplicated lists give it
+        system, faults, high = _sweep_inputs()
+        budgets = [1, 2, 3, 5, 8, system.n_vars]
+        want = budget_sweep(system, faults, high, budgets, method=method)
+        level = next(lv for lv in want.levels if lv.feasible and lv.afvr > 0)
+        immune = set(level.plan.selected)
+        repeated = {}
+        for rid, fs in faults.items():
+            still = [f for f in fs if len(f) > 1 and execute(system, rid, set(f) - immune).failed]
+            repeated[rid] = [*fs, *still[:1], *(f[::-1] for f in still[1:2])]
+        assert sum(map(len, repeated.values())) > sum(map(len, faults.values())) + 2
+        assert budget_sweep(system, repeated, high, budgets, method=method) == want
 
 
 def min_scan_greedy(masks, uncovered, budget):

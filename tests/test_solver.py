@@ -303,6 +303,76 @@ def mmcs_order(cnf, k):
     return out
 
 
+def _bounded_model(clauses, blocks, k, true, false):
+    """DPLL: a set of at most ``k`` variables that holds ``true``, misses
+    ``false``, meets every clause and holds no block whole; None if none does.
+
+    Unit propagation runs both ways: a clause left with one free variable
+    sets it, and a block left with one variable not yet true clears it.
+    A branch is cut when the clauses it leaves open hold more pairwise
+    disjoint ones, over their free variables, than it has picks left.
+    It branches on the free variables of the shortest open clause,
+    ascending: each is set in turn, after the ones before it are cleared.
+    """
+    true, false = set(true), set(false)
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            if not c & true:
+                free = c - false
+                if not free:
+                    return None
+                if len(free) == 1:
+                    true |= free
+                    changed = True
+        for b in blocks:
+            if not b & false:
+                left = b - true
+                if not left:
+                    return None
+                if len(left) == 1:
+                    false |= left
+                    changed = True
+    open_free = sorted((c - false for c in clauses if not c & true), key=len)
+    disjoint, seen = 0, set()
+    for c in open_free:
+        if seen.isdisjoint(c):
+            disjoint += 1
+            seen |= c
+    if len(true) + disjoint > k:
+        return None
+    if not open_free:
+        return true
+    for v in sorted(open_free[0]):
+        model = _bounded_model(clauses, blocks, k, true | {v}, false)
+        if model is not None:
+            return model
+        false = false | {v}
+    return None
+
+
+def blocking_minimal(cnf, k):
+    """The minimal sets of at most ``k`` variables that meet every clause of
+    ``cnf``, sorted, found with blocking clauses.
+
+    Each round finds a model by :func:`_bounded_model`, shrinks it to a
+    minimal set by dropping, in ascending order, each variable the rest
+    can do without, and blocks every superset of that set.  A model holds
+    no earlier set, so its minimal set is new; the rounds end when no
+    model is left, and then every minimal set within ``k`` has been found.
+    Shares no code with the package's search.
+    """
+    clauses = [frozenset(c) for c in cnf.clauses]
+    found = []
+    while (model := _bounded_model(clauses, found, k, (), ())) is not None:
+        for v in sorted(model):
+            if all(c & (model - {v}) for c in clauses):
+                model.discard(v)
+        found.append(frozenset(model))
+    return sorted(tuple(sorted(s)) for s in found)
+
+
 @st.composite
 def cnfs_with_twins(draw):
     """A random formula plus fresh variables that copy others' occurrences.
@@ -390,6 +460,45 @@ class TestSearchOrder:
         assert len(out) == len(set(out)) == count
         assert set(out) == want
         assert counters.leaf_hits == len(out)
+
+
+class TestBlockingOracle:
+    """``enumerate_minimal`` against :func:`blocking_minimal`, past brute force's 20 variables."""
+
+    def test_small_formulas_match_brute_force(self):
+        rng = random.Random(0xB1)
+        for _ in range(150):
+            cnf = random_cnf(rng)
+            k = rng.randint(0, 5)
+            assert blocking_minimal(cnf, k) == brute_force_minimal(cnf, k), f"{cnf} k={k}"
+
+    def test_random_formulas_over_21_to_40_variables(self):
+        # most clauses hold one of three hot variables, so small sets exist
+        rng = random.Random(0xB10C)
+        found = wide = 0
+        for _ in range(200):
+            n = rng.randint(21, 40)
+            hot = rng.sample(range(n), 3)
+            clauses = []
+            for _ in range(rng.randint(1, 10)):
+                c = set(rng.sample(range(n), rng.randint(2, 8)))
+                if rng.random() < 0.7:
+                    c.add(rng.choice(hot))
+                clauses.append(c)
+            cnf = make_cnf(clauses, n)
+            k = rng.randint(1, 3)
+            want = enumerate_minimal(cnf, SolverConfig(max_size=k))
+            assert blocking_minimal(cnf, k) == want, f"{cnf} k={k}"
+            found += len(want)
+            wide += len(cnf.variables()) > 20
+        assert found > 1000 and wide > 50
+
+    def test_wide_request_formula(self):
+        # 6 clauses of 60 or 140 variables over 588
+        cnf = request_cnf(3, 200, 4)
+        want = enumerate_minimal(cnf, SolverConfig(max_size=3))
+        assert len(want) == 64
+        assert blocking_minimal(cnf, 3) == want
 
 
 class TestTwinClasses:
