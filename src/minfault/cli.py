@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from itertools import groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -90,51 +90,31 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# Every output is written in chunks of at most this many characters: a
-# string or bytes object past glibc's default mmap threshold (128 KiB,
-# mallopt(3)) gets fresh pages from the kernel, each faulted in on first
-# write, where one below it reuses the heap's.  The bound is set by that
-# threshold, not by memory use.
+# ``solve``'s solutions and ``inject``'s campaign files, the outputs that
+# grow with their input, come in pieces of at most this many characters
+# (``_solution_text``, ``_dump_campaign``): a string past glibc's default
+# mmap threshold (128 KiB, mallopt(3)) gets fresh pages from the kernel,
+# each faulted in on first write, where one below it reuses the heap's.
 _CHUNK_CHARS = 1 << 16
-
-
-def _chunked(pieces: Iterable[str]) -> Iterator[str]:
-    """The text of ``pieces`` joined into chunks of at most ``_CHUNK_CHARS``.
-
-    The parts held so far are yielded before a piece would take the chunk
-    past the bound, so only a single piece longer than the bound makes a
-    longer chunk, and it is passed on whole.
-    """
-    parts: list[str] = []
-    size = 0
-    for text in pieces:
-        if parts and size + len(text) > _CHUNK_CHARS:
-            yield "".join(parts)
-            parts = []
-            size = 0
-        parts.append(text)
-        size += len(text)
-    if parts:
-        yield "".join(parts)
 
 
 def _write_atomic(path: Path, pieces: Iterable[str]) -> str:
     """Write the text pieces to ``path`` and return the SHA-256 of its bytes.
 
-    The pieces are joined into chunks by ``_chunked``, and each chunk is
-    encoded and written in turn, so nothing holds the whole file.  The
-    chunks go to a ``.tmp`` sibling that ``os.replace`` then moves over
-    ``path``, so readers see the whole file or none of it.  When writing
-    fails, or producing a piece raises, the ``.tmp`` file is removed and
-    ``path`` is left as it was.
+    Each piece is encoded and written in turn: ``solve`` and ``inject``
+    bound their own pieces (``_CHUNK_CHARS``), and a whole document is one
+    piece.  The pieces go to a ``.tmp`` sibling that ``os.replace`` then
+    moves over ``path``, so readers see the whole file or none of it.  When
+    writing fails, or producing a piece raises, the ``.tmp`` file is
+    removed and ``path`` is left as it was.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for chunk in _chunked(pieces):
-                data = chunk.encode("utf-8")
+            for piece in pieces:
+                data = piece.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
         os.replace(tmp, path)
@@ -173,9 +153,6 @@ def _fault_fragments(symbol_table):
     return fragments
 
 
-# ``_dump_campaign`` formats at most this many faults per piece: about
-# 42 KB at the fleet's ~330 bytes per fault, under ``_CHUNK_CHARS``
-_BATCH_FAULTS = 128
 # a fragments pair's ``vars`` and ``symbols`` item
 _VARS, _SYMBOLS = itemgetter(0), itemgetter(1)
 
@@ -194,13 +171,14 @@ def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) ->
 
     The small head goes through ``_dump_json``; ``valid_faults`` sorts
     after every head key, so its entries follow.  Each run of faults of
-    one length is formatted in batches of at most ``_BATCH_FAULTS``, one
-    piece per batch: the length's template (``_fault_template``) takes
-    each fault's items, read column by column from ``fragments`` (see
-    ``_fault_fragments``).  So each symbol is encoded once per run, not
-    once per fault that holds it, and nothing holds the whole file, nor,
-    for faults of a few variables, any one piece past ``_write_atomic``'s
-    chunk bound.
+    one length ``n`` is formatted in batches, one piece per batch: the
+    length's template (``_fault_template``) takes each fault's items,
+    read column by column from ``fragments`` (see ``_fault_fragments``).
+    So each symbol is encoded once per run, not once per fault that
+    holds it.  A batch holds as many faults as fit ``_CHUNK_CHARS`` at
+    the run's longest possible entry: the template's fixed text, ``n``
+    times the run's longest ``vars`` and ``symbols`` item pair, and a
+    separator.  So no piece passes the bound unless one entry alone does.
     """
     head = _dump_json({
         "run_id": run_id,
@@ -224,8 +202,13 @@ def _dump_campaign(result: CampaignResult, mode: str, run_id: str, fragments) ->
         return
     sep = "[\n"
     for n, run in groupby(result.valid_faults, len):  # n > 0: no request fails uninjected
+        run = list(run)
         template = _fault_template(n)
-        while batch := list(islice(run, _BATCH_FAULTS)):
+        pair = max([len(v) + len(s) for v, s in map(fragments, set(chain.from_iterable(run)))])
+        # each "%s" of the template is two characters; each entry follows a 2-character separator
+        per_piece = max(1, _CHUNK_CHARS // (len(template) - 4 * n + n * pair + 2))
+        for start in range(0, len(run), per_piece):
+            batch = run[start:start + per_piece]
             # per position in the faults, the batch's fragments; columns are
             # read through ``map``, so nothing is allocated per variable
             cols = [list(map(fragments, map(itemgetter(i), batch))) for i in range(n)]
@@ -343,33 +326,47 @@ def cmd_gen(args) -> int:
 
 
 def _solution_text(blocks, names: dict[int, str]) -> Iterator[str]:
-    """``solve``'s output text for the solver's blocks, one piece per block.
+    """``solve``'s output text for the solver's blocks, in pieces of at most ``_CHUNK_CHARS``.
 
     One line per solution: its variables' names separated by spaces, or
-    ``0`` for the empty solution.  A block ``(prefix, tails)`` is one
-    join of its tails' text over its shared prefix text.  Consecutive
-    blocks often share one ``tails`` object, so the last object's text is
-    kept and reused while the next block holds the same object.
+    ``0`` for the empty solution.  A block ``(prefix, tails)`` is its
+    tails' lines, each after the prefix's text, in slices of as many
+    lines as fit the bound at the longest line's length; consecutive
+    slices are joined while they fit it.  So no piece passes the bound
+    unless one line alone does.  Consecutive blocks often share one
+    ``tails`` object, so the last object's lines are kept and reused.
     """
+    parts: list[str] = []
+    size = 0
     last = None  # held, so no other object can take its id
-    lines: list[str] = []
     for prefix, tails in blocks:
         if tails is not last:
             last = tails
             # an empty tail is the empty formula's one solution
             lines = [" ".join([names[v] for v in t]) or "0" for t in tails]
+            longest = max(map(len, lines))
         head = "".join([names[v] + " " for v in prefix])
-        yield head + ("\n" + head).join(lines) + "\n"
+        step = max(1, _CHUNK_CHARS // (len(head) + longest + 1))
+        # a block that fits is joined whole: a slice would copy its lines
+        slices = [lines] if step >= len(lines) else [lines[i:i + step] for i in range(0, len(lines), step)]
+        for part in slices:
+            text = head + ("\n" + head).join(part) + "\n"
+            if parts and size + len(text) > _CHUNK_CHARS:
+                yield "".join(parts)
+                parts = []
+                size = 0
+            parts.append(text)
+            size += len(text)
+    if parts:
+        yield "".join(parts)
 
 
 def cmd_solve(args) -> int:
     """Stream the sorted minimal solutions to ``--out`` (atomically) or stdout.
 
-    Nothing holds the whole output: the solver's blocks are formatted
-    one piece per block and written in chunks of at most
-    ``_CHUNK_CHARS`` (``_chunked``, which ``_write_atomic`` also uses),
-    and the manifest's digest is computed on the way.  The ``solve``
-    timing covers search, formatting and writing, which interleave.
+    Nothing holds the whole output: ``_solution_text``'s bounded pieces are
+    written in turn, and the manifest's digest is computed on the way.  The
+    ``solve`` timing covers search, formatting and writing, which interleave.
     """
     if args.k < 0:
         raise UsageError("--k must be >= 0")
@@ -382,8 +379,8 @@ def cmd_solve(args) -> int:
     pieces = _solution_text(iter_sorted_blocks(cnf, SolverConfig(max_size=args.k)), names)
     if args.out is None:
         try:
-            for chunk in _chunked(pieces):
-                sys.stdout.write(chunk)
+            for piece in pieces:
+                sys.stdout.write(piece)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader took what it wanted; stdout now points at devnull,
@@ -469,7 +466,7 @@ def _parse_high(spec: str, system) -> list[int]:
         ranked = sorted(system.request_frequency, key=lambda p: (-p[1], p[0]))
         return [rid for rid, _ in ranked[:n]]
     try:
-        ids = [_decimal(tok) for tok in spec.split(",") if tok != ""]
+        ids = [_decimal(tok) for tok in spec.split(",")]
     except argparse.ArgumentTypeError:
         raise UsageError(f"bad --high value {spec!r}") from None
     return list(dict.fromkeys(ids))
@@ -543,7 +540,7 @@ def cmd_harden(args) -> int:
 
     high = _parse_high(args.high, system)
     try:
-        budgets = [_decimal(tok) for tok in args.budgets.split(",") if tok != ""]
+        budgets = [_decimal(tok) for tok in args.budgets.split(",")]
     except argparse.ArgumentTypeError:
         raise UsageError(f"bad --budgets value {args.budgets!r}") from None
 

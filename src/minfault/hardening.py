@@ -37,7 +37,7 @@ fails when every path of the request holds one of its non-immune variables.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .cnf import MonotoneCnf, make_cnf
@@ -289,7 +289,7 @@ def greedy_baseline(instance: HardeningInstance) -> HardeningPlan:
 def budget_sweep(
     system: SimulatedSystem,
     faults_by_request: Mapping[int, Iterable],
-    high_priority: Collection[int],
+    high_priority: Iterable[int],
     budgets: Sequence[int],
     method: str = "exact",
 ) -> BudgetSweep:
@@ -297,14 +297,15 @@ def budget_sweep(
 
     The method and the budgets are checked first (``ParameterError``),
     then every id in ``high_priority`` and ``faults_by_request`` is looked
-    up in the system (``UnknownRequestError``).  Each request's faults may
-    be any iterable, which is read once; in request id order, each list
-    becomes the request's formula by :func:`build_request_cnf`, so the
-    first malformed fault raises what that raises.  The exact method runs
-    one hard-cover search over the high requests' formulas, at the largest
-    budget, and one :func:`_best_plan` call over all the budgets, which
-    hands each level the covers that fit it; each level's plan follows
-    :func:`optimize`'s rule.
+    up in the system (``UnknownRequestError``).  ``high_priority`` and
+    each request's faults may be any iterable, each read once; in request
+    id order, each fault list becomes the request's formula by
+    :func:`build_request_cnf`, so the first malformed fault raises what
+    that raises.  The exact method runs one hard-cover search over the
+    high requests' formulas, at the largest budget, and one
+    :func:`_best_plan` call over all the budgets, which hands each level
+    the covers that fit it; each level's plan follows :func:`optimize`'s
+    rule.
 
     Coverage metrics come from the plans.  The residual-validity metric
     (AFVR) is the mean over requests of the share of known faults that
@@ -328,10 +329,11 @@ def budget_sweep(
         raise ParameterError("budgets must be non-negative")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ParameterError("budgets must be strictly increasing")
-    for rid in [*high_priority, *faults_by_request]:
+    high_ids = list(high_priority)
+    for rid in [*high_ids, *faults_by_request]:
         system.request(rid)  # raises UnknownRequestError
 
-    high = set(high_priority)
+    high = set(high_ids)
     records: dict[int, tuple[dict[int, int], int]] = {}  # request -> (clause masks, clause count)
     hard: list[MonotoneCnf] = []
     for rid in sorted(faults_by_request):

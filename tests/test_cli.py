@@ -329,16 +329,20 @@ class TestSolve:
         manifest = json.loads((tmp_path / "sols.txt.manifest.json").read_text())
         assert manifest["outputs"] == {str(dest): digest}
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 40) | st.integers(0, 2 * cli._CHUNK_CHARS), max_size=12))
-    def test_chunks_stay_under_the_bound(self, lengths):
-        # consecutive pieces differ in their letter, so a chunk equal to
-        # some piece holds that one piece's text and nothing else
-        pieces = [chr(ord("a") + i % 26) * n for i, n in enumerate(lengths)]
-        chunks = list(cli._chunked(pieces))
-        assert "".join(chunks) == "".join(pieces)
-        for chunk in chunks:
-            assert len(chunk) <= cli._CHUNK_CHARS or chunk in pieces
+    def test_chunks_stay_under_the_bound(self, monkeypatch):
+        # the unshared (2,300,4) request at k=3 has blocks of up to 177,184
+        # characters, which go out in slices of whole lines
+        cases = [(request_cnf(2, 300, 4), 3), *((golden_cnf(case), 4) for case, _ in SOLVE_GOLDEN)]
+        for cnf, k in cases:
+            names = {v: str(v + 1) for v in cnf.variables()}
+            want = "".join(" ".join(names[v] for v in sol) + "\n"
+                           for sol in sorted(iter_minimal(cnf, SolverConfig(max_size=k))))
+            for bound in (cli._CHUNK_CHARS, 7):  # at 7, most lines pass the bound alone
+                monkeypatch.setattr(cli, "_CHUNK_CHARS", bound)
+                pieces = list(cli._solution_text(cli.iter_sorted_blocks(cnf, SolverConfig(max_size=k)), names))
+                assert "".join(pieces) == want
+                for piece in pieces:
+                    assert len(piece) <= bound or piece.count("\n") == 1
 
     def test_failure_mid_stream_leaves_no_output(self, tmp_path, monkeypatch):
         f = tmp_path / "f.cnf"
@@ -762,9 +766,9 @@ class TestIntegerFlags:
         assert not camp.exists()
 
     @pytest.mark.parametrize("flag, value", [
-        *(("--budgets", v) for v in [*NOT_DECIMAL, "٨, 1_6", "8,1_6", "2,+4"]),
+        *(("--budgets", v) for v in [*NOT_DECIMAL, "٨, 1_6", "8,1_6", "2,+4", "8,,16", "8,16,", ",8", ""]),
         *(("--high", v) for v in [*NOT_DECIMAL, "0,+1", "auto-topfreq:+1", "auto-topfreq:٣",
-                                  "auto-topfreq: 1"]),
+                                  "auto-topfreq: 1", "", ",", "0,", ",0", "0,,1"]),
     ])
     def test_harden(self, tmp_path, campaign_docs, capsys, flag, value):
         system, docs = campaign_docs
@@ -777,6 +781,15 @@ class TestIntegerFlags:
         assert code == EXIT_USAGE
         assert f"bad {flag} value {value!r}" in err
         assert not out.exists()
+
+    def test_auto_topfreq_zero_names_no_high_request(self, tmp_path, campaign_docs, capsys):
+        system, docs = campaign_docs
+        write_campaign(tmp_path / "camp", docs)
+        out = tmp_path / "plan.json"
+        code, _, err = run(["harden", "--system", str(system), "--campaign-dir", str(tmp_path / "camp"),
+                            "--high", "auto-topfreq:0", "--budgets", "1,64", "--out", str(out)], capsys)
+        assert code == EXIT_OK, err
+        assert json.loads(out.read_text())["high_priority"] == []
 
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--k", "-1"], "--k must be >= 0"),
@@ -1252,10 +1265,15 @@ def campaign_doc(result, symbol_table, mode, run_id):
 
 
 def assert_same_text(result, symbol_table, fragments=None, mode="dynamic", run_id="0123456789ab"):
+    """The campaign file's pieces join to ``json.dumps``'s text, and no
+    piece passes ``_CHUNK_CHARS`` unless it holds one fault entry."""
     fragments = fragments or _fault_fragments(symbol_table)
-    got = "".join(_dump_campaign(result, mode, run_id, fragments))
+    pieces = list(_dump_campaign(result, mode, run_id, fragments))
+    got = "".join(pieces)
     doc = campaign_doc(result, symbol_table, mode, run_id)
     assert got == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for piece in pieces:
+        assert len(piece) <= cli._CHUNK_CHARS or piece.count('"symbols"') == 1
     return got
 
 
@@ -1311,11 +1329,14 @@ class TestCampaignFile:
         if symbol[2] is True:
             assert "\n          true\n" in text
 
-    @pytest.mark.parametrize("batch", [cli._BATCH_FAULTS, 2], ids=["default-batch", "batch-of-2"])
+    # a 2-variable entry here is at most 225 characters, and 2 more with its
+    # separator, so a bound of 500 holds batches of two of them
+    @pytest.mark.parametrize("bound", [cli._CHUNK_CHARS, 500], ids=["default-batch", "batch-of-2"])
     @pytest.mark.parametrize("shape", ["alternating", "long-run"])
-    def test_runs_and_batches(self, result, monkeypatch, batch, shape):
-        monkeypatch.setattr(cli, "_BATCH_FAULTS", batch)
+    def test_runs_and_batches(self, result, monkeypatch, bound, shape):
+        monkeypatch.setattr(cli, "_CHUNK_CHARS", bound)
         table = {v: ("svc", f"/api{v}", v % 3) for v in range(40)}
+        batch = bound // 227
         if shape == "alternating":
             lengths = [1, 3, 2, 3, 1, 1, 2, 2, 2, 3, 1]
         else:  # a run longer than two batches, between two short ones
@@ -1324,10 +1345,22 @@ class TestCampaignFile:
         result = dataclasses.replace(result, valid_faults=faults)
         assert_same_text(result, table)
         pieces = list(_dump_campaign(result, "dynamic", "0123456789ab", _fault_fragments(table)))
-        assert max(piece.count('"symbols"') for piece in pieces) <= batch
+        sizes = [piece.count('"symbols"') for piece in pieces]
+        if shape == "long-run":  # each batch of the long run as full as the bound lets it be
+            run = len(lengths) - 2
+            assert sizes[2:-2] == [batch] * (run // batch) + [run % batch] * (run % batch > 0)
+        assert max(sizes) <= batch
+
+    def test_six_variable_faults(self):
+        # (3,12,2) at k_max=6: 2,744 faults, whose batches of 128 made
+        # pieces of up to 74,624 characters
+        system = generate_system(GenParams(group_num=3, edge_num=12, bone_num=2, n_requests=1, seed=1))
+        result = run_campaign(system, CampaignConfig(request_id=0, k_max=6))
+        assert max(map(len, result.valid_faults)) == 6
+        assert_same_text(result, system.symbol_table)
 
     def test_fleet_pieces_stay_under_the_chunk_bound(self):
-        # so ``_write_atomic`` joins every piece into a bounded chunk
+        # the fleet's entries are short, so every batch, and every piece, fits the bound
         system = generate_system(GenParams(group_num=2, edge_num=40, bone_num=3, n_requests=8,
                                            shared_api_fraction=0.3, seed=1))
         fragments = _fault_fragments(system.symbol_table)

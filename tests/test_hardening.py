@@ -508,6 +508,17 @@ class TestBudgetSweep:
         assert any(lv.feasible for lv in want.levels)
         assert budget_sweep(system, {**faults, 0: one_shot(faults[0])}, high, budgets, method=method) == want
 
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    @pytest.mark.parametrize("one_shot", [lambda ids: (i for i in ids), lambda ids: iter(list(ids))],
+                             ids=["generator", "list-iterator"])
+    def test_one_shot_high_priority_read_once(self, one_shot, method):
+        # the high ids as a one-shot iterable give the sweep of their list
+        system, faults, high = _sweep_inputs()
+        budgets = [1, 4, system.n_vars]
+        want = budget_sweep(system, faults, list(high), budgets, method=method)
+        assert want != budget_sweep(system, faults, [], budgets, method=method)
+        assert budget_sweep(system, faults, one_shot(high), budgets, method=method) == want
+
     def test_unknown_high_priority_id(self):
         system, faults, _ = _sweep_inputs()
         with pytest.raises(UnknownRequestError):
